@@ -18,11 +18,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fetch_sim, model_fit, trace_analysis, tuner
 from .config import ConfigError, RunConfig, load_config
-from .core_model import FetchPlan, quantized_cost, reciprocal_cost, round_trips
+from .core_model import round_trips, sweep_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,45 +98,33 @@ def _parse_f_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _sweep_elapsed(cfg: RunConfig, f: int, mode: str, seed: int, jitter: float,
-                   fixed_k) -> tuple[float, int]:
-    n = cfg.workload.total_records
-    if mode == "sim":
-        driver = fetch_sim.DriverSpec(
-            recommended_prefetch=cfg.driver.recommended_prefetch,
-            enforced_prefetch=f,
-            default_prefetch=cfg.driver.default_prefetch,
-            per_field_conversion=cfg.driver.per_field_conversion,
-            request_overhead=cfg.driver.request_overhead,
-        )
-        trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
-                                         driver, seed=seed, jitter=jitter)
-        return trace.total_elapsed_ms, len(trace.trip_log)
-    trips = round_trips(n, f) if n else 0
-    if mode == "quantized":
-        return quantized_cost(FetchPlan(f, n), fixed_k), trips
-    return reciprocal_cost(n, f, fixed_k.k1), trips
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     seed = _effective_seed(cfg, args.seed)
     jitter = cfg.jitter if args.jitter is None else args.jitter
     lo, hi = _parse_f_range(args.f_range)
-    fixed_k = None
-    if args.mode in ("quantized", "reciprocal"):
+    n = cfg.workload.total_records
+    sizes = range(lo, hi + 2)  # one past hi for the last forward difference
+    if args.mode == "sim":
+        elapsed, trips = [], []
+        for f in sizes:
+            trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
+                                             replace(cfg.driver, enforced_prefetch=f),
+                                             seed=seed, jitter=jitter)
+            elapsed.append(trace.total_elapsed_ms)
+            trips.append(len(trace.trip_log))
+            del trace  # free this trip log before the next size builds its own
+    else:
         # Theoretical curves are drawn with constants calibrated once at
         # the driver's size in force, then swept across f.
-        fixed_k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server,
-                                           cfg.driver,
-                                           fetch_sim.effective_prefetch(cfg.driver))
-    rows = []
-    for f in range(lo, hi + 2):  # one past hi for the last forward difference
-        rows.append((f,) + _sweep_elapsed(cfg, f, args.mode, seed, jitter, fixed_k))
+        k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver,
+                                     fetch_sim.effective_prefetch(cfg.driver))
+        elapsed = [p.elapsed for p in sweep_curve(n, lo, hi + 1, k, args.mode)]
+        trips = [round_trips(n, f) for f in sizes]
     with open(args.out, "w") as fh:
         fh.write("# f\telapsed_ms\ttrips\tslope_ms\n")
-        for (f, elapsed, trips), (_, nxt, _) in zip(rows, rows[1:]):
-            fh.write(f"{f}\t{elapsed!r}\t{trips}\t{elapsed - nxt!r}\n")
+        for f, ms, nxt, count in zip(sizes, elapsed, elapsed[1:], trips):
+            fh.write(f"{f}\t{ms!r}\t{count}\t{ms - nxt!r}\n")
     print(f"sweep: {args.out} ({hi - lo + 1} sizes, mode {args.mode})")
     return EXIT_OK
 

@@ -56,23 +56,16 @@ class FetchPlan:
 
 @dataclass(frozen=True)
 class CostConstants:
-    """The four fitted constants of the transport model, in ms.
-
-    avg_trip_time is a single illustrative per-trip number used only for
-    slope tables; it is not an input to the cost formulas.
-    """
+    """The four fitted constants of the transport model, in ms."""
 
     k1: float
     k2: float
     k3: float
     k4: float
-    avg_trip_time: float = 400.0
 
     def __post_init__(self):
         if min(self.k1, self.k2, self.k3, self.k4) < 0:
             raise ValueError("cost constants must be >= 0")
-        if self.avg_trip_time <= 0:
-            raise ValueError("avg_trip_time must be > 0")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ Two modelling choices shape the traces this module emits:
 Optional multiplicative jitter perturbs every component with a seeded
 per-trip RNG; the same seed always reproduces the same trace bit for
 bit.
+
+A trace is stored as its trip log alone.  Only trips - 1 of its n rows
+are nonzero, so the per-row samples are rebuilt from the log on request
+and a simulation costs O(trips), not O(rows).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 from .core_model import CostConstants, WorkloadSpec, round_trips
 
@@ -126,19 +132,34 @@ class TripRecord:
 
 @dataclass(frozen=True)
 class LatencyTrace:
-    """Per-row elapsed times plus the trip log they were assembled from.
+    """A simulated fetch, stored as the trip log its per-row times come from.
 
-    samples holds one (row_index, elapsed_ms) pair for every row, row
-    indices contiguous from 1.  The first trip's cost is carried by the
-    execute call rather than any row, so conservation reads:
+    Trip i's whole cost lands on row (i-1)*f+1, the first row of its
+    batch; every other row costs 0.0.  The first trip's cost is carried
+    by the execute call rather than any row, so conservation reads:
 
         fsum(sample values) + execution_call_ms == fsum(trip totals)
+
+    Per-row samples are built from the log on request: iter_samples()
+    streams them, and samples materializes all n of them.
     """
 
-    samples: tuple[tuple[int, float], ...]
     trip_log: tuple[TripRecord, ...]
     effective_prefetch: int
     total_records: int
+
+    def iter_samples(self) -> Iterator[tuple[int, float]]:
+        """Yield (row_index, elapsed_ms) for every row, row indices from 1."""
+        row = 1
+        for trip in self.trip_log:
+            yield row, (trip.total_ms if row > 1 else 0.0)
+            yield from zip(range(row + 1, row + trip.records), repeat(0.0))
+            row += trip.records
+
+    @property
+    def samples(self) -> tuple[tuple[int, float], ...]:
+        """Every (row_index, elapsed_ms) pair, all n of them."""
+        return tuple(self.iter_samples())
 
     @property
     def execution_call_ms(self) -> float:
@@ -202,33 +223,35 @@ def simulate_fetch(
 
     f = effective_prefetch(driver)
     n = workload.total_records
-    trips = round_trips(n, f) if n else 0
+    trips = round_trips(n, f)
     n_fields = len(workload.field_byte_sizes)
+    record_bytes = workload.record_bytes
 
-    elapsed = [0.0] * n
+    def batch(records: int) -> tuple[int, float, float, float]:
+        # Components that depend only on the batch size: (records, e, t, c).
+        return (records,
+                server.soft_parse + server.per_record_search * records,
+                transport_time(records * record_bytes, net),
+                records * n_fields * driver.per_field_conversion)
+
+    full = batch(f)
+    last = batch(n - (trips - 1) * f)  # n mod f, or f when f divides n
     log = []
     refills_done = 0
     for i in range(1, trips + 1):
-        records = f if (i < trips or n % f == 0) else n % f
+        records, e, t, c = full if i < trips else last
         r = driver.request_overhead
-        e = server.soft_parse + server.per_record_search * records
         if i == 1:
             e += server.hard_parse
         served = min(i * f, n)
         refills_needed = -(-served // server.server_cache_size)
         a = (refills_needed - refills_done) * server.disk_access_per_refill
         refills_done = refills_needed
-        t = transport_time(records * workload.record_bytes, net)
-        c = records * n_fields * driver.per_field_conversion
         if jitter:
             rng = _trip_rng(seed, i)
             r, e, a, t, c = (v * rng.uniform(1 - jitter, 1 + jitter) for v in (r, e, a, t, c))
-        trip = TripRecord(i, records, r, e, a, t, c)
-        log.append(trip)
-        if i >= 2:
-            elapsed[(i - 1) * f] = trip.total_ms
-    samples = tuple((row + 1, elapsed[row]) for row in range(n))
-    return LatencyTrace(samples, tuple(log), f, n)
+        log.append(TripRecord(i, records, r, e, a, t, c))
+    return LatencyTrace(tuple(log), f, n)
 
 
 def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:
@@ -273,7 +296,7 @@ def cost_constants(
     refill = server.disk_access_per_refill * (f / server.server_cache_size)
     k1 = per_trip + refill + f * per_record
     k3 = per_trip + refill
-    return CostConstants(k1, 0.0, k3, per_record, avg_trip_time=k1 if k1 > 0 else 1.0)
+    return CostConstants(k1, 0.0, k3, per_record)
 
 
 TRACE_HEADER = ("row_index", "elapsed_ms")
@@ -281,12 +304,14 @@ TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 
 
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
-    """Write the per-row samples and the trip component log as CSV."""
+    """Write the per-row samples and the trip component log as CSV.
+
+    The samples are streamed from the trip log, never held in memory.
+    """
     with open(samples_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for row, ms in trace.samples:
-            writer.writerow((row, repr(ms)))
+        writer.writerows((row, repr(ms)) for row, ms in trace.iter_samples())
     with open(trips_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIP_HEADER)

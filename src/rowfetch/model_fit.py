@@ -138,8 +138,7 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
     residual_rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
     k = np.zeros(4)
     k[: len(coef)] = coef
-    constants = CostConstants(k[0], k[1], k[2], k[3],
-                              avg_trip_time=k[0] if k[0] > 0 else 1.0)
+    constants = CostConstants(k[0], k[1], k[2], k[3])
     return FitResult(constants, residual_rms, len(samples), condition_warning,
                      tuple(warnings), unidentifiable)
 

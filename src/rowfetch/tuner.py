@@ -58,11 +58,7 @@ class Recommendation:
     rationale: tuple[str, ...]
 
 
-def threshold_prefetch(
-    n: int,
-    slope_fn: Callable[[int], int] | None = None,
-    zero_run: int = DEFAULT_ZERO_RUN,
-) -> int:
+def threshold_prefetch(n: int, zero_run: int = DEFAULT_ZERO_RUN) -> int:
     """Smallest f whose trip decrease stays zero for zero_run sizes.
 
     Beyond f = n every size needs exactly one trip, so a result always
@@ -72,12 +68,10 @@ def threshold_prefetch(
         raise ValueError("need at least one record")
     if zero_run < 1:
         raise ValueError("zero_run must be >= 1")
-    if slope_fn is None:
-        slope_fn = lambda f: trip_decrease_per_unit_f(n, f)
     streak_start = None
     f = 1
     while True:
-        if slope_fn(f) == 0:
+        if trip_decrease_per_unit_f(n, f) == 0:
             if streak_start is None:
                 streak_start = f
             if f - streak_start + 1 >= zero_run:
@@ -104,7 +98,6 @@ def recommend(
     budget: MemoryBudget,
     cost_source: CostSource,
     *,
-    slope_fn: Callable[[int], int] | None = None,
     zero_run: int = DEFAULT_ZERO_RUN,
 ) -> Recommendation:
     """Full tuning pass: threshold, minimal size, memory cap, prediction.
@@ -113,7 +106,7 @@ def recommend(
     elapsed time: either a fixed CostConstants (a fitted model) or a
     callable mapping the final f to constants (component-derived).
     """
-    threshold = threshold_prefetch(n, slope_fn, zero_run)
+    threshold = threshold_prefetch(n, zero_run)
     optimal = optimal_prefetch(n, threshold)
     trips = round_trips(n, optimal)
     ok, _, max_feasible = check_memory(optimal, budget)

@@ -207,8 +207,6 @@ class TestTypes:
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
             CostConstants(-1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            CostConstants(1.0, 0.0, 0.0, 0.0, avg_trip_time=0.0)
 
     def test_curve_tsv_two_columns(self):
         text = curve_tsv([CurvePoint(1, 100400.0), CurvePoint(2, 50200.0)])

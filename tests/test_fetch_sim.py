@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,6 +32,14 @@ DRIVER = DriverSpec(recommended_prefetch=100, default_prefetch=10,
 
 def peak_rows(trace):
     return [row for row, ms in trace.samples if ms > 0.0]
+
+
+def dense_samples(trace):
+    """Reference per-row trace: n zeros, trip i's total at 0-based row (i-1)*f."""
+    elapsed = [0.0] * trace.total_records
+    for i, trip in enumerate(trace.trip_log[1:], start=2):
+        elapsed[(i - 1) * trace.effective_prefetch] = trip.total_ms
+    return tuple((row + 1, ms) for row, ms in enumerate(elapsed))
 
 
 class TestEffectivePrefetch:
@@ -180,6 +189,29 @@ class TestJitter:
         trace = simulate_fetch(WIDE, WAN, SERVER, DRIVER, seed=5, jitter=0.3)
         zero_rows = [ms for row, ms in trace.samples if (row - 1) % 10 or row == 1]
         assert set(zero_rows) == {0.0}
+
+
+class TestSamplesFromTripLog:
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("n,f", [(0, 10), (7, 10), (10, 10), (500, 25),
+                                     (37, 1), (502, 10)])
+    def test_samples_match_dense_reference(self, n, f, jitter):
+        d = DriverSpec(enforced_prefetch=f, request_overhead=1.0)
+        trace = simulate_fetch(WorkloadSpec(n, (100,)), WAN, SERVER, d, seed=11, jitter=jitter)
+        assert trace.samples == dense_samples(trace)
+
+    def test_simulation_memory_is_o_trips(self):
+        # Two trips over two million rows: nothing may be allocated per row.
+        w = WorkloadSpec(2_000_000, (100,))
+        d = DriverSpec(enforced_prefetch=1_000_000)
+        tracemalloc.start()
+        try:
+            trace = simulate_fetch(w, WAN, SERVER, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.trip_log) == 2
+        assert peak < 2**20
 
 
 class TestStageBreakdown:

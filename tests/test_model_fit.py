@@ -58,10 +58,6 @@ class TestExactRecovery:
         for name in ("k1", "k2", "k3", "k4"):
             assert getattr(scaled, name) == pytest.approx(3.5 * getattr(base, name), rel=1e-6)
 
-    def test_avg_trip_time_reports_k1(self):
-        result = fit_cost_model(make_samples())
-        assert result.constants.avg_trip_time == result.constants.k1
-
 
 class TestNoisyRecovery:
     def test_k1_within_frozen_monte_carlo_bound(self):

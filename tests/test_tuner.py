@@ -60,11 +60,6 @@ class TestThresholdPrefetch:
     def test_single_record(self):
         assert threshold_prefetch(1) == 1
 
-    def test_custom_slope_source(self):
-        # A slope source that reports decreases only below 40.
-        assert threshold_prefetch(502, slope_fn=lambda f: 1 if f < 40 else 0,
-                                  zero_run=5) == 40
-
     def test_rejects_empty_workload(self):
         with pytest.raises(ValueError):
             threshold_prefetch(0)
