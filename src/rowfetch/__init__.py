@@ -11,7 +11,6 @@ from .core_model import (
     FetchPlan,
     SlopeRow,
     WorkloadSpec,
-    curve_tsv,
     quantized_cost,
     reciprocal_cost,
     round_trips,

@@ -72,18 +72,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     samples = trace_analysis.read_trace_samples(args.trace)
-    if samples:
+    if len(samples):
         report = trace_analysis.analyze_trace(samples, median_ratio=args.median_ratio,
                                               sigma_k=args.sigma_k)
     else:
         report = trace_analysis.PeakReport((), None, (), None, 0.0)
-    print(json.dumps({
-        "peak_rows": list(report.peak_rows),
-        "inferred_prefetch": report.inferred_prefetch,
-        "inter_peak_gaps": list(report.inter_peak_gaps),
-        "avg_trip_time": report.avg_trip_time,
-        "confidence": report.confidence,
-    }))
+    # vars() is the shallow form of dataclasses.asdict, which would
+    # deep-copy every peak row and gap one by one.
+    print(json.dumps(vars(report)))
     return EXIT_OK
 
 

@@ -163,8 +163,3 @@ def sweep_curve(
             elapsed = reciprocal_cost(n, f, k.k1)
         points.append(CurvePoint(f, elapsed))
     return points
-
-
-def curve_tsv(points: Iterable[CurvePoint]) -> str:
-    """Serialize curve points as two-column TSV for external plotting."""
-    return "".join(f"{p.prefetch_size}\t{p.elapsed!r}\n" for p in points)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ class FitSample:
             raise ValueError("prefetch_size must be >= 1")
         if self.total_records < 0:
             raise ValueError("total_records must be >= 0")
+        if not math.isfinite(self.total_elapsed) or self.total_elapsed < 0:
+            raise ValueError(f"total_elapsed must be finite and >= 0, got {self.total_elapsed!r}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,9 @@ _N_COMMENT = re.compile(r"#\s*N\s*=\s*(\d+)\s*$")
 def read_fit_samples(path) -> list[FitSample]:
     """Load an f,elapsed_ms CSV whose `# N=<count>` comment names the set size."""
     total_records = None
-    rows: list[tuple[int, float]] = []
+    rows: list[tuple[int, str]] = []
     saw_header = False
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -176,16 +179,19 @@ def read_fit_samples(path) -> list[FitSample]:
                     raise SampleFormatError(f"{path}:{lineno}: expected header f,elapsed_ms")
                 saw_header = True
                 continue
-            parts = line.split(",")
-            try:
-                rows.append((int(parts[0]), float(parts[1])))
-            except (IndexError, ValueError) as exc:
-                raise SampleFormatError(f"{path}:{lineno}: bad sample row: {line!r}") from exc
+            rows.append((lineno, line))
     if total_records is None:
         raise SampleFormatError(f"{path}: missing `# N=<count>` comment line")
     if not saw_header:
         raise SampleFormatError(f"{path}: missing f,elapsed_ms header")
-    return [FitSample(f, ms, total_records) for f, ms in rows]
+    samples = []
+    for lineno, line in rows:
+        parts = line.split(",")
+        try:
+            samples.append(FitSample(int(parts[0]), float(parts[1]), total_records))
+        except (IndexError, ValueError) as exc:
+            raise SampleFormatError(f"{path}:{lineno}: bad sample row: {line!r} ({exc})") from exc
+    return samples
 
 
 def write_fit_samples(samples: list[FitSample], path) -> None:

@@ -21,17 +21,29 @@ so the threshold rule here is this module's own invention:
 Both knobs are exposed (and overridable from the command line), and the
 rule is scale-invariant: rescaling a trace by any positive factor leaves
 the detected rows unchanged.
+
+A trace is handled as columns, never as per-row objects: the reader
+returns an (n, 2) float64 array of (row_index, elapsed_ms), and the
+analysis functions accept that array or any sequence of pairs.  The
+median, mean and population stdev are computed in float64; only the
+mean over the peak rows (avg_trip_time) is exact, as statistics.mean.
+The reader rejects a trace whose row indices are not exactly 1..n or
+whose elapsed times are not finite, naming the first offending line.
 """
 
 from __future__ import annotations
 
-import csv
+import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from statistics import mean, median, pstdev
+from statistics import mean
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Sample = tuple[int, float]
+Samples = np.ndarray | Sequence[Sample]
 
 
 class TraceFormatError(ValueError):
@@ -49,25 +61,32 @@ class PeakReport:
     confidence: float
 
 
+def _sample_array(samples: Samples) -> np.ndarray:
+    """View samples as an (n, 2) float64 array; a no-op on the reader's output."""
+    return np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+
+
 def detect_peaks(
-    samples: Sequence[Sample],
+    samples: Samples,
     *,
     median_ratio: float = 10.0,
     sigma_k: float = 3.0,
 ) -> list[int]:
     """Return the row indices whose elapsed time stands out as a peak."""
-    if not samples:
+    samples = _sample_array(samples)
+    if len(samples) == 0:
         raise ValueError("cannot detect peaks in an empty trace")
-    values = [ms for _, ms in samples]
-    if max(values) == min(values):
+    rows, values = samples[:, 0], samples[:, 1]
+    if values.max() == values.min():
         return []
-    zeros = sum(1 for v in values if v == 0.0)
-    if zeros > len(values) / 2:
+    if np.count_nonzero(values == 0.0) > len(values) / 2:
         # Degenerate statistics: the cache-hit floor dominates, so any
         # row that cost anything at all belongs to a trip.
-        return [row for row, ms in samples if ms > 0.0]
-    threshold = max(median_ratio * median(values), mean(values) + sigma_k * pstdev(values))
-    return [row for row, ms in samples if ms > threshold]
+        threshold = 0.0
+    else:
+        threshold = max(median_ratio * np.median(values),
+                        values.mean() + sigma_k * values.std())
+    return rows[np.flatnonzero(values > threshold)].astype(np.int64).tolist()
 
 
 def infer_effective_prefetch(peaks: Sequence[int], first_row: int = 1) -> PeakReport:
@@ -92,41 +111,93 @@ def infer_effective_prefetch(peaks: Sequence[int], first_row: int = 1) -> PeakRe
     return PeakReport(tuple(rows), modal, gaps, None, confidence)
 
 
-def avg_trip_time_from_trace(samples: Sequence[Sample], peaks: Iterable[int]) -> float | None:
+def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | None:
     """Mean elapsed over the peak rows, or None when there are none."""
-    wanted = set(peaks)
-    values = [ms for row, ms in samples if row in wanted]
-    if not values:
+    samples = _sample_array(samples)
+    rows = samples[:, 0]
+    targets = np.unique(np.fromiter(peaks, dtype=np.float64))
+    if len(targets) == 0:
         return None
-    return mean(values)
+    # Binary search, not np.isin: isin sorts a copy of every row and
+    # needs several times the trace's memory to do it.
+    nearest = np.searchsorted(targets, rows)
+    np.minimum(nearest, len(targets) - 1, out=nearest)
+    wanted = targets[nearest] == rows
+    if not wanted.any():
+        return None
+    return mean(samples[wanted, 1].tolist())
 
 
 def analyze_trace(
-    samples: Sequence[Sample],
+    samples: Samples,
     *,
     median_ratio: float = 10.0,
     sigma_k: float = 3.0,
     first_row: int = 1,
 ) -> PeakReport:
     """Full pipeline: detect peaks, infer the prefetch size, average them."""
+    samples = _sample_array(samples)
     peaks = detect_peaks(samples, median_ratio=median_ratio, sigma_k=sigma_k)
     report = infer_effective_prefetch(peaks, first_row)
     return replace(report, avg_trip_time=avg_trip_time_from_trace(samples, peaks))
 
 
-def read_trace_samples(path) -> list[Sample]:
-    """Load a row_index,elapsed_ms CSV, validating the header."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["row_index", "elapsed_ms"]:
+def read_trace_samples(path) -> np.ndarray:
+    """Load a row_index,elapsed_ms CSV as an (n, 2) float64 array.
+
+    The header must match, row indices must run 1..n and elapsed times
+    must be finite; otherwise TraceFormatError names the first bad line.
+    Blank lines are skipped.
+    """
+    # Undecodable bytes become U+FFFD, which no number parses, so they
+    # fail as a bad row with its line rather than as a decoding error.
+    with open(path, newline="", errors="replace") as fh:
+        if [h.strip() for h in fh.readline().split(",")] != ["row_index", "elapsed_ms"]:
             raise TraceFormatError(f"{path}: expected header row_index,elapsed_ms")
-        samples = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                samples.append((int(row[0]), float(row[1])))
-            except (IndexError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: bad sample row: {row!r}") from exc
+        try:
+            with warnings.catch_warnings():
+                # A header-only trace is valid: it is simply empty.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                samples = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None,
+                                     usecols=(0, 1), ndmin=2)
+        except ValueError as exc:
+            raise TraceFormatError(_first_bad_line(path)) from exc
+    if not (np.array_equal(samples[:, 0], np.arange(1, len(samples) + 1))
+            and np.isfinite(samples[:, 1]).all()):
+        raise TraceFormatError(_first_bad_line(path))
     return samples
+
+
+def _first_bad_line(path) -> str:
+    """Describe the first body line that is not the next finite sample.
+
+    Runs only after a read has failed, so it re-scans the file in plain
+    Python rather than interpreting numpy's error text.
+    """
+    expected = 1
+    with open(path, newline="", errors="replace") as fh:
+        next(fh, None)
+        for lineno, line in enumerate(fh, start=2):
+            text = line.rstrip("\r\n")
+            if not text:
+                continue
+            fields = text.split(",")
+            try:
+                row, ms = _number(fields[0]), _number(fields[1])
+            except (IndexError, ValueError):
+                return f"{path}:{lineno}: bad sample row: {text!r}"
+            if row != expected:
+                return f"{path}:{lineno}: row index {fields[0].strip()}, expected {expected}"
+            if not math.isfinite(ms):
+                return f"{path}:{lineno}: elapsed_ms {fields[1].strip()} is not finite"
+            expected += 1
+    return f"{path}: unreadable sample rows"
+
+
+def _number(field: str) -> float:
+    # np.loadtxt parses what float() does, except underscores and
+    # non-ASCII digits.
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)

@@ -161,6 +161,23 @@ class TestAnalyze:
         path.write_text("row,latency\n1,0.0\n")
         assert cli.main(["analyze", str(path)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("body, line", [
+        (b"1,0.5\n2,nan\n3,1.0\n", 3),
+        (b"1,0.5\n2,0.4\n3,inf\n", 4),
+        (b"1,0.5\n2,0.4\n3,350.0\n3,350.0\n4,0.5\n", 5),
+        (b"1,0.5\n\n3,0.4\n", 4),
+        (b"1,0.5\n3,350.0\n2,0.4\n", 3),
+        (b"1,abc\n", 2),
+        (b"1,0.5\n2\n", 3),
+        (b"1,0.5\n2,\xff\n", 3),
+    ], ids=["nan", "inf", "duplicate", "gap", "unsorted", "not_a_number", "missing_column",
+            "not_utf8"])
+    def test_bad_rows_exit_input_naming_line(self, tmp_path, capsys, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"row_index,elapsed_ms\n" + body)
+        assert cli.main(["analyze", str(path)]) == EXIT_INPUT
+        assert f"{path}:{line}:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_quantized_mode_matches_model(self, tmp_path):
@@ -262,6 +279,13 @@ class TestFit:
         path = tmp_path / "samples.csv"
         path.write_text("# N=502\nprefetch,ms\n10,100.0\n")
         assert cli.main(["fit", str(path)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("row", [b"10,-5.0", b"10,nan", b"0,100.0", b"10,\xff"])
+    def test_bad_sample_value_exit_input_naming_line(self, tmp_path, capsys, row):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"# N=502\nf,elapsed_ms\n5,100.0\n" + row + b"\n")
+        assert cli.main(["fit", str(path)]) == EXIT_INPUT
+        assert f"{path}:4:" in capsys.readouterr().err
 
     def test_missing_n_comment_exit_input(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -6,10 +6,8 @@ import pytest
 
 from rowfetch.core_model import (
     CostConstants,
-    CurvePoint,
     FetchPlan,
     WorkloadSpec,
-    curve_tsv,
     quantized_cost,
     reciprocal_cost,
     round_trips,
@@ -207,7 +205,3 @@ class TestTypes:
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
             CostConstants(-1.0, 0.0, 0.0, 0.0)
-
-    def test_curve_tsv_two_columns(self):
-        text = curve_tsv([CurvePoint(1, 100400.0), CurvePoint(2, 50200.0)])
-        assert text == "1\t100400.0\n2\t50200.0\n"

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import statistics
+import tracemalloc
+import warnings
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from rowfetch.core_model import WorkloadSpec, round_trips
@@ -34,6 +41,44 @@ def simulated_trace(n: int, f: int, seed: int = 0, jitter: float = 0.0):
 
 def synthetic(n: int, peak_rows: dict[int, float], floor: float = 0.0):
     return [(row, peak_rows.get(row, floor)) for row in range(1, n + 1)]
+
+
+def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0, first_row=1):
+    """The per-row tuple algorithm, with exact statistics-module arithmetic."""
+    values = [ms for _, ms in samples]
+    if max(values) == min(values):
+        peaks = []
+    elif sum(1 for v in values if v == 0.0) > len(values) / 2:
+        peaks = [row for row, ms in samples if ms > 0.0]
+    else:
+        threshold = max(median_ratio * statistics.median(values),
+                        statistics.mean(values) + sigma_k * statistics.pstdev(values))
+        peaks = [row for row, ms in samples if ms > threshold]
+    report = infer_effective_prefetch(peaks, first_row)
+    wanted = set(peaks)
+    peak_values = [ms for row, ms in samples if row in wanted]
+    return replace(report, avg_trip_time=statistics.mean(peak_values) if peak_values else None)
+
+
+def random_trace(rng: random.Random):
+    """A seeded trace of one of four shapes: zero floor, noisy floor, flat, noise."""
+    n = rng.randint(1, 400)
+    period = rng.randint(2, 40)
+    shape = rng.choice(("zero_floor", "noisy_floor", "flat", "noise"))
+    samples = []
+    for row in range(1, n + 1):
+        if shape == "flat":
+            ms = 3.25
+        elif shape == "noise":
+            ms = rng.lognormvariate(0.0, 1.5)
+        elif row % period == 1 and row > 1 and rng.random() > 0.05:
+            ms = rng.uniform(200.0, 600.0)
+        elif shape == "zero_floor":
+            ms = 0.0
+        else:
+            ms = rng.uniform(0.002, 0.02)
+        samples.append((row, ms))
+    return samples
 
 
 class TestDetectPeaks:
@@ -81,6 +126,26 @@ class TestDetectPeaks:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             detect_peaks([])
+
+
+class TestMatchesTupleReference:
+    KNOBS = ({}, {"median_ratio": 3.0, "sigma_k": 2.0}, {"median_ratio": 1.5, "sigma_k": 0.5})
+
+    def test_random_traces(self):
+        rng = random.Random(2012)
+        shapes = set()
+        for case in range(200):
+            samples = random_trace(rng)
+            knobs = self.KNOBS[case % len(self.KNOBS)]
+            expected = reference_analyze(samples, **knobs)
+            for given in (samples, np.array(samples)):
+                report = analyze_trace(given, **knobs)
+                assert report == expected, (case, knobs)
+                assert all(type(row) is int for row in report.peak_rows)
+            zeros = sum(1 for _, ms in samples if ms == 0.0)
+            shapes.add("flat" if len({ms for _, ms in samples}) == 1
+                       else "zero_floor" if zeros > len(samples) / 2 else "statistical")
+        assert shapes == {"flat", "zero_floor", "statistical"}
 
 
 class TestInferEffectivePrefetch:
@@ -182,18 +247,42 @@ class TestTraceCsvReader:
         samples_path = tmp_path / "trace.csv"
         write_trace_csv(trace, samples_path, tmp_path / "trips.csv")
         loaded = read_trace_samples(samples_path)
-        assert loaded == list(trace.samples)
+        assert loaded.tolist() == [list(pair) for pair in trace.samples]
 
     def test_accepts_external_csv(self, tmp_path):
         path = tmp_path / "external.csv"
         path.write_text("row_index,elapsed_ms\n1,0.5\n2,0.4\n3,350.0\n")
-        assert read_trace_samples(path) == [(1, 0.5), (2, 0.4), (3, 350.0)]
+        assert read_trace_samples(path).tolist() == [[1, 0.5], [2, 0.4], [3, 350.0]]
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("row,ms\n1,2\n")
         with pytest.raises(TraceFormatError):
             read_trace_samples(path)
+
+    def test_header_only_trace_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("row_index,elapsed_ms\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_trace_samples(path).shape == (0, 2)
+
+    def test_reader_memory_is_columnar(self, tmp_path):
+        # 200,000 rows as (int, float) tuples take over 20 MB; as two
+        # float64 columns they take 3.2 MB.
+        path = tmp_path / "big.csv"
+        with open(path, "w") as fh:
+            fh.write("row_index,elapsed_ms\n")
+            fh.writelines(f"{row},{0.0 if row % 37 != 1 else 457.1234567891234!r}\n"
+                          for row in range(1, 200_001))
+        tracemalloc.start()
+        try:
+            samples = read_trace_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert samples.shape == (200_000, 2)
 
     def test_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
