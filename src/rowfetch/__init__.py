@@ -9,6 +9,7 @@ from .core_model import (
     CostConstants,
     CurvePoint,
     FetchPlan,
+    FieldError,
     SlopeRow,
     WorkloadSpec,
     quantized_cost,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import fetch_sim, model_fit, trace_analysis, tuner
 from .config import ConfigError, RunConfig, load_config
-from .core_model import round_trips, sweep_curve
+from .core_model import FieldError, round_trips, sweep_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,16 +45,21 @@ def _effective_seed(cfg: RunConfig, flag_value: int | None) -> int:
     return cfg.seed
 
 
-def _simulate_from(cfg: RunConfig, seed: int, jitter: float) -> fetch_sim.LatencyTrace:
-    return fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
-                                    cfg.driver, seed=seed, jitter=jitter)
+def _run_config(args) -> RunConfig:
+    """The config with the seed and --jitter overrides applied and checked."""
+    cfg = load_config(args.config)
+    seed = _effective_seed(cfg, args.seed)
+    try:
+        return replace(cfg, seed=seed,
+                       jitter=cfg.jitter if args.jitter is None else args.jitter)
+    except FieldError as exc:
+        raise ConfigError("--jitter", exc.rule) from None
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    seed = _effective_seed(cfg, args.seed)
-    jitter = cfg.jitter if args.jitter is None else args.jitter
-    trace = _simulate_from(cfg, seed, jitter)
+    cfg = _run_config(args)
+    trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,
+                                     seed=cfg.seed, jitter=cfg.jitter)
     trace_path = Path(args.out_trace)
     trips_path = (Path(args.out_trips) if args.out_trips
                   else trace_path.with_name(trace_path.stem + "_trips.csv"))
@@ -95,9 +100,7 @@ def _parse_f_range(spec: str) -> tuple[int, int]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    seed = _effective_seed(cfg, args.seed)
-    jitter = cfg.jitter if args.jitter is None else args.jitter
+    cfg = _run_config(args)
     lo, hi = _parse_f_range(args.f_range)
     n = cfg.workload.total_records
     sizes = range(lo, hi + 2)  # one past hi for the last forward difference
@@ -106,7 +109,7 @@ def cmd_sweep(args) -> int:
         for f in sizes:
             trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
                                              replace(cfg.driver, enforced_prefetch=f),
-                                             seed=seed, jitter=jitter)
+                                             seed=cfg.seed, jitter=cfg.jitter)
             elapsed.append(trace.total_elapsed_ms)
             trips.append(len(trace.trip_log))
             del trace  # free this trip log before the next size builds its own
@@ -141,7 +144,7 @@ def cmd_recommend(args) -> int:
         lambda f: fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server,
                                            cfg.driver, f),
         zero_run=args.zero_run)
-    print(json.dumps(tuner.recommendation_json_dict(rec)))
+    print(json.dumps(vars(rec)))
     print()
     print(tuner.render_recommendation(n, rec, budget))
     return EXIT_OK

@@ -15,17 +15,24 @@ number (applied to every hop) or a comma list with one entry per hop.
     run.seed=7
     run.jitter=0
 
+The key table `_KEYS` is the whole mapping: each key names one field of
+one spec dataclass (WorkloadSpec, HopSpec, ServerSpec, DriverSpec or
+RunConfig; network.hops is the hop count) and the parser for its text.
+An absent key takes its field's dataclass default, and a field with no
+default is a required key.  Each spec checks its own fields, and a value
+it rejects is reported under the key that set it.
+
 Bundled scenario presets live next to this module and can be named on
 the command line anywhere a config path is accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .core_model import WorkloadSpec
+from .core_model import FieldError, WorkloadSpec, require
 from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec
 
 
@@ -41,156 +48,104 @@ class RunConfig:
     network: NetworkSpec
     server: ServerSpec
     driver: DriverSpec
-    seed: int
-    jitter: float
+    seed: int = 0
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        require(0 <= self.jitter <= 1, "jitter", "must be in [0, 1]")
 
 
-_KNOWN_KEYS = {
-    "workload.total_records",
-    "workload.field_bytes",
-    "network.hops",
-    "network.bandwidth_bytes_per_ms",
-    "network.base_latency_ms",
-    "network.availability",
-    "server.hard_parse_ms",
-    "server.soft_parse_ms",
-    "server.per_record_search_ms",
-    "server.cache_records",
-    "server.disk_access_ms",
-    "driver.recommended_prefetch",
-    "driver.enforced_prefetch",
-    "driver.default_prefetch",
-    "driver.per_field_conversion_ms",
-    "driver.request_overhead_ms",
-    "run.seed",
-    "run.jitter",
+def _ints(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(part) for part in text.split(",")]
+
+
+# key -> (spec, dataclass field, text parser, what a parse error expected).
+_KEYS = {
+    "workload.total_records": ("workload", "total_records", int, "an integer"),
+    "workload.field_bytes": ("workload", "field_byte_sizes", _ints,
+                             "comma-separated integers"),
+    "network.hops": ("network", "hops", int, "an integer"),
+    "network.bandwidth_bytes_per_ms": ("hop", "bandwidth", _floats, "a number or comma list"),
+    "network.base_latency_ms": ("hop", "base_latency", _floats, "a number or comma list"),
+    "network.availability": ("hop", "availability", _floats, "a number or comma list"),
+    "server.hard_parse_ms": ("server", "hard_parse", float, "a number"),
+    "server.soft_parse_ms": ("server", "soft_parse", float, "a number"),
+    "server.per_record_search_ms": ("server", "per_record_search", float, "a number"),
+    "server.cache_records": ("server", "server_cache_size", int, "an integer"),
+    "server.disk_access_ms": ("server", "disk_access_per_refill", float, "a number"),
+    "driver.recommended_prefetch": ("driver", "recommended_prefetch", int, "an integer"),
+    "driver.enforced_prefetch": ("driver", "enforced_prefetch", int, "an integer"),
+    "driver.default_prefetch": ("driver", "default_prefetch", int, "an integer"),
+    "driver.per_field_conversion_ms": ("driver", "per_field_conversion", float, "a number"),
+    "driver.request_overhead_ms": ("driver", "request_overhead", float, "a number"),
+    "run.seed": ("run", "seed", int, "an integer"),
+    "run.jitter": ("run", "jitter", float, "a number"),
 }
-_REQUIRED_KEYS = ("workload.total_records", "workload.field_bytes", "network.hops")
+_KEY_OF = {(spec, field): key for key, (spec, field, _, _) in _KEYS.items()}
 
 
-def _parse_pairs(text: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+def _parse_fields(text: str) -> dict[str, dict]:
+    """Parse every present key into its spec's kwargs, keyed by spec."""
+    specs: dict[str, dict] = {spec: {} for spec, *_ in _KEYS.values()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
             raise ConfigError(key, "unknown config key")
-        if key in pairs:
+        spec, field, parse, expected = _KEYS[key]
+        if field in specs[spec]:
             raise ConfigError(key, "duplicate key")
-        pairs[key] = value
-    return pairs
-
-
-def _get_int(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {pairs[key]!r}") from None
-
-
-def _get_float(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {pairs[key]!r}") from None
-
-
-def _get_int_list(pairs, key):
-    try:
-        return [int(part) for part in pairs[key].split(",")]
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated integers, got {pairs[key]!r}") from None
-
-
-def _per_hop(pairs, key, hops: int, default=None) -> list[float]:
-    if key not in pairs:
-        if default is None:
-            raise ConfigError(key, f"required when network.hops={hops}")
-        return [default] * hops
-    try:
-        values = [float(part) for part in pairs[key].split(",")]
-    except ValueError:
-        raise ConfigError(key, f"expected a number or comma list, got {pairs[key]!r}") from None
-    if len(values) == 1:
-        return values * hops
-    if len(values) != hops:
-        raise ConfigError(key, f"expected 1 or {hops} values, got {len(values)}")
-    return values
-
-
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    pairs = _parse_pairs(text)
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
-            raise ConfigError(key, "required key missing")
-
-    try:
-        workload = WorkloadSpec(_get_int(pairs, "workload.total_records"),
-                                tuple(_get_int_list(pairs, "workload.field_bytes")))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("workload.field_bytes", str(exc)) from None
-
-    hops = _get_int(pairs, "network.hops")
-    if hops < 0:
-        raise ConfigError("network.hops", "must be >= 0")
-    if hops == 0:
-        network = NetworkSpec(())
-    else:
-        bandwidth = _per_hop(pairs, "network.bandwidth_bytes_per_ms", hops)
-        latency = _per_hop(pairs, "network.base_latency_ms", hops)
-        availability = _per_hop(pairs, "network.availability", hops, default=1.0)
         try:
-            network = NetworkSpec(tuple(HopSpec(b, l, a)
-                                        for b, l, a in zip(bandwidth, latency, availability)))
-        except ValueError as exc:
-            raise ConfigError("network.*", str(exc)) from None
+            specs[spec][field] = parse(value)
+        except ValueError:
+            raise ConfigError(key, f"expected {expected}, got {value!r}") from None
+    return specs
 
+
+def _build(cls, spec: str, **kwargs):
+    """Construct cls, naming the config key of a missing or rejected field."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(_KEY_OF[(spec, f.name)], "required key missing")
     try:
-        server = ServerSpec(
-            hard_parse=_get_float(pairs, "server.hard_parse_ms", 0.0),
-            soft_parse=_get_float(pairs, "server.soft_parse_ms", 0.0),
-            per_record_search=_get_float(pairs, "server.per_record_search_ms", 0.0),
-            server_cache_size=_get_int(pairs, "server.cache_records", 100),
-            disk_access_per_refill=_get_float(pairs, "server.disk_access_ms", 0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("server.*", str(exc)) from None
+        return cls(**kwargs)
+    except FieldError as exc:
+        raise ConfigError(_KEY_OF[(spec, exc.field)], exc.rule) from None
 
-    try:
-        driver = DriverSpec(
-            recommended_prefetch=_get_int(pairs, "driver.recommended_prefetch"),
-            enforced_prefetch=_get_int(pairs, "driver.enforced_prefetch"),
-            default_prefetch=_get_int(pairs, "driver.default_prefetch", 10),
-            per_field_conversion=_get_float(pairs, "driver.per_field_conversion_ms", 0.0),
-            request_overhead=_get_float(pairs, "driver.request_overhead_ms", 0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("driver.*", str(exc)) from None
 
-    jitter = _get_float(pairs, "run.jitter", 0.0)
-    if jitter < 0 or jitter > 1:
-        raise ConfigError("run.jitter", "must be in [0, 1]")
-    seed = _get_int(pairs, "run.seed")
-    if seed is None:
-        if jitter > 0:
-            raise ConfigError("run.seed", "required when run.jitter > 0")
-        seed = 0
-    return RunConfig(workload, network, server, driver, seed, jitter)
+def parse_config(text: str) -> RunConfig:
+    specs = _parse_fields(text)
+    workload = _build(WorkloadSpec, "workload", **specs["workload"])
+    hops_key, count = _KEY_OF[("network", "hops")], specs["network"].get("hops")
+    if count is None:
+        raise ConfigError(hops_key, "required key missing")
+    if count < 0:
+        raise ConfigError(hops_key, "must be >= 0")
+    per_hop = specs["hop"]
+    for field, values in per_hop.items():
+        if len(values) == 1:
+            per_hop[field] = values * count
+        elif len(values) != count:
+            raise ConfigError(_KEY_OF[("hop", field)],
+                              f"expected 1 or {count} values, got {len(values)}")
+    network = NetworkSpec(tuple(
+        _build(HopSpec, "hop", **{field: values[i] for field, values in per_hop.items()})
+        for i in range(count)))
+    server = _build(ServerSpec, "server", **specs["server"])
+    driver = _build(DriverSpec, "driver", **specs["driver"])
+    cfg = _build(RunConfig, "run", workload=workload, network=network, server=server,
+                 driver=driver, **specs["run"])
+    if cfg.jitter > 0 and "seed" not in specs["run"]:
+        raise ConfigError(_KEY_OF[("run", "seed")], "required when run.jitter > 0")
+    return cfg
 
 
 def list_presets() -> list[str]:
@@ -213,4 +168,6 @@ def resolve_config_path(name_or_path: str) -> Path:
 
 def load_config(name_or_path: str) -> RunConfig:
     path = resolve_config_path(name_or_path)
-    return parse_config(path.read_text(), source=str(path))
+    # Undecodable bytes become U+FFFD, so they fail as a bad value or an
+    # unknown key that names its key, like any other malformed input.
+    return parse_config(path.read_text(errors="replace"))

@@ -15,8 +15,29 @@ or touches I/O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
+
+
+class FieldError(ValueError):
+    """A spec field outside its domain; .field names the dataclass field."""
+
+    def __init__(self, field: str, rule: str):
+        self.field = field
+        self.rule = rule
+        super().__init__(f"{field} {rule}")
+
+
+def require(ok: bool, field: str, rule: str) -> None:
+    """The one validation rule of every spec: raise FieldError unless ok."""
+    if not ok:
+        raise FieldError(field, rule)
+
+
+def finite_nonneg(x: float) -> bool:
+    """True for 0 <= x < inf; False for negatives, inf and nan."""
+    return 0 <= x < math.inf
 
 
 @dataclass(frozen=True)
@@ -28,10 +49,9 @@ class WorkloadSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "field_byte_sizes", tuple(self.field_byte_sizes))
-        if self.total_records < 0:
-            raise ValueError("total_records must be >= 0")
-        if any(b < 1 for b in self.field_byte_sizes):
-            raise ValueError("every field byte size must be >= 1")
+        require(self.total_records >= 0, "total_records", "must be >= 0")
+        require(all(b >= 1 for b in self.field_byte_sizes), "field_byte_sizes",
+                "must each be >= 1")
 
     @property
     def record_bytes(self) -> int:
@@ -48,10 +68,8 @@ class FetchPlan:
     def __post_init__(self):
         # f = 0 would mean the driver never moves a row; the model has a
         # pole there, so it is rejected at construction.
-        if self.prefetch_size < 1:
-            raise ValueError("prefetch_size must be >= 1")
-        if self.total_records < 0:
-            raise ValueError("total_records must be >= 0")
+        require(self.prefetch_size >= 1, "prefetch_size", "must be >= 1")
+        require(self.total_records >= 0, "total_records", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,8 +82,8 @@ class CostConstants:
     k4: float
 
     def __post_init__(self):
-        if min(self.k1, self.k2, self.k3, self.k4) < 0:
-            raise ValueError("cost constants must be >= 0")
+        for name in ("k1", "k2", "k3", "k4"):
+            require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")
 
 
 @dataclass(frozen=True)

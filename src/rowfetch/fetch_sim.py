@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
 
-from .core_model import CostConstants, WorkloadSpec, round_trips
+from .core_model import CostConstants, WorkloadSpec, finite_nonneg, require, round_trips
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,10 @@ class HopSpec:
     availability: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.base_latency < 0:
-            raise ValueError("base_latency must be >= 0")
-        if not 0 < self.availability <= 1:
-            raise ValueError("availability must be in (0, 1]")
+        require(finite_nonneg(self.bandwidth) and self.bandwidth > 0, "bandwidth",
+                "must be finite and > 0")
+        require(finite_nonneg(self.base_latency), "base_latency", "must be finite and >= 0")
+        require(0 < self.availability <= 1, "availability", "must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,9 @@ class ServerSpec:
     disk_access_per_refill: float = 0.0
 
     def __post_init__(self):
-        if min(self.hard_parse, self.soft_parse, self.per_record_search,
-               self.disk_access_per_refill) < 0:
-            raise ValueError("server times must be >= 0")
-        if self.server_cache_size < 1:
-            raise ValueError("server_cache_size must be >= 1")
+        for name in ("hard_parse", "soft_parse", "per_record_search", "disk_access_per_refill"):
+            require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")
+        require(self.server_cache_size >= 1, "server_cache_size", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -104,12 +100,10 @@ class DriverSpec:
     def __post_init__(self):
         for name in ("recommended_prefetch", "enforced_prefetch"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 when set")
-        if self.default_prefetch < 1:
-            raise ValueError("default_prefetch must be >= 1")
-        if self.per_field_conversion < 0 or self.request_overhead < 0:
-            raise ValueError("driver times must be >= 0")
+            require(value is None or value >= 1, name, "must be >= 1 when set")
+        require(self.default_prefetch >= 1, "default_prefetch", "must be >= 1")
+        for name in ("per_field_conversion", "request_overhead"):
+            require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -131,19 +131,6 @@ def recommend(
                           tuple(rationale))
 
 
-def recommendation_json_dict(rec: Recommendation) -> dict:
-    """Field-for-field dict for flat JSON serialization."""
-    return {
-        "threshold_f": rec.threshold_f,
-        "optimal_f": rec.optimal_f,
-        "round_trips_at_optimal": rec.round_trips_at_optimal,
-        "predicted_elapsed": rec.predicted_elapsed,
-        "memory_at_optimal": rec.memory_at_optimal,
-        "memory_ok": rec.memory_ok,
-        "rationale": list(rec.rationale),
-    }
-
-
 def render_recommendation(n: int, rec: Recommendation, budget: MemoryBudget) -> str:
     """Human-readable advisory block for a tuning result."""
     lines = [

@@ -7,10 +7,12 @@ exit code, the printed summary, and the artifacts on disk.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from rowfetch import cli, fetch_sim
+from rowfetch import cli, config, fetch_sim
 from rowfetch.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, EXIT_USAGE, SEED_ENV
 from rowfetch.config import list_presets, load_config
 from rowfetch.core_model import CostConstants, FetchPlan, quantized_cost, round_trips
@@ -367,6 +369,40 @@ class TestConfigErrors:
         rc, _, _ = simulate(tmp_path, cfg)
         assert rc == EXIT_INPUT
         assert "network.bandwidth_bytes_per_ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(config._KEYS))
+    def test_value_outside_its_domain_names_its_key(self, tmp_path, capsys, key):
+        parse = config._KEYS[key][2]
+        special = {"workload.field_bytes": "0", "run.seed": "x"}
+        bad = special.get(key, "-1" if parse is int else "nan")
+        rc, _, _ = simulate(tmp_path, config_file(tmp_path, {key: bad}))
+        assert rc == EXIT_INPUT
+        assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [
+        (b"workload.total_records=5\xff", "workload.total_records"),
+        (b"workload.total\xffrecords=5", "workload.total\ufffdrecords"),
+    ], ids=["value", "key"])
+    def test_undecodable_bytes_exit_input_naming_key(self, tmp_path, capsys, line, key):
+        path = Path(config_file(tmp_path, drop=("workload.total_records",)))
+        path.write_bytes(line + b"\n" + path.read_bytes())
+        rc, _, _ = simulate(tmp_path, str(path))
+        assert rc == EXIT_INPUT
+        assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jitter", ["2", "nan", "-0.5"])
+    def test_out_of_range_jitter_flag_exit_input(self, tmp_path, capsys, jitter):
+        rc, _, _ = simulate(tmp_path, "baseline.cfg", extra=(f"--jitter={jitter}",))
+        assert rc == EXIT_INPUT
+        rc = cli.main(["sweep", "baseline.cfg", "--f-range", "1:5", f"--jitter={jitter}",
+                       "--out", str(tmp_path / "s.tsv")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.count("error: --jitter:") == 2
+
+    def test_readme_key_table_matches_key_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"^\| `([\w.]+)` \|", section, re.M)) == set(config._KEYS)
 
     def test_unknown_preset_lists_bundled_names(self, tmp_path, capsys):
         rc, _, _ = simulate(tmp_path, "no_such.cfg")

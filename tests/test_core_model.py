@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from rowfetch.config import RunConfig
 from rowfetch.core_model import (
     CostConstants,
     FetchPlan,
+    FieldError,
     WorkloadSpec,
     quantized_cost,
     reciprocal_cost,
@@ -15,6 +19,7 @@ from rowfetch.core_model import (
     sweep_curve,
     trip_decrease_per_unit_f,
 )
+from rowfetch.fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec
 
 
 def consume_in_batches(n: int, f: int) -> int:
@@ -205,3 +210,19 @@ class TestTypes:
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
             CostConstants(-1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("spec", [
+        CostConstants(1.0, 0.0, 2.0, 3.0),
+        HopSpec(600.0, 150.0, 0.9),
+        ServerSpec(),
+        DriverSpec(),
+        RunConfig(WorkloadSpec(5, (8,)), NetworkSpec(()), ServerSpec(), DriverSpec()),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_every_float_field_rejects_nan_and_inf(self, spec):
+        names = [f.name for f in dataclasses.fields(spec) if f.type == "float"]
+        assert names
+        for name in names:
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(FieldError) as exc:
+                    dataclasses.replace(spec, **{name: bad})
+                assert exc.value.field == name
