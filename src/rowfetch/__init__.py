@@ -60,5 +60,3 @@ from .tuner import (
 from .config import ConfigError, RunConfig, list_presets, load_config, parse_config
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

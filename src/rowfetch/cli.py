@@ -6,10 +6,10 @@ cost constants from measurements), recommend (tuned prefetch size under
 a memory budget).
 
 Exit codes: 0 success, 2 usage error, 3 malformed input (config, trace,
-or samples file), 4 model error (unfittable or untunable data).  The
-ROWFETCH_SEED environment variable overrides the config seed; a --seed
-flag overrides both.  Same inputs and seed always produce byte-identical
-outputs.
+samples file or flag value), 4 model error (unfittable or untunable
+data).  The ROWFETCH_SEED environment variable overrides the config
+seed; a --seed flag overrides both.  Same inputs and seed always produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ EXIT_MODEL = 4
 
 SEED_ENV = "ROWFETCH_SEED"
 
+# The flag behind each field a FieldError can name; any other field is the model's.
+_FLAG_OF = {"jitter": "--jitter", "median_ratio": "--median-ratio",
+            "sigma_k": "--sigma-k", "max_bytes": "--budget-bytes", "zero_run": "--zero-run"}
+
 
 def _effective_seed(cfg: RunConfig, flag_value: int | None) -> int:
     if flag_value is not None:
@@ -48,12 +52,8 @@ def _effective_seed(cfg: RunConfig, flag_value: int | None) -> int:
 def _run_config(args) -> RunConfig:
     """The config with the seed and --jitter overrides applied and checked."""
     cfg = load_config(args.config)
-    seed = _effective_seed(cfg, args.seed)
-    try:
-        return replace(cfg, seed=seed,
-                       jitter=cfg.jitter if args.jitter is None else args.jitter)
-    except FieldError as exc:
-        raise ConfigError("--jitter", exc.rule) from None
+    return replace(cfg, seed=_effective_seed(cfg, args.seed),
+                   jitter=cfg.jitter if args.jitter is None else args.jitter)
 
 
 def cmd_simulate(args) -> int:
@@ -77,11 +77,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     samples = trace_analysis.read_trace_samples(args.trace)
-    if len(samples):
-        report = trace_analysis.analyze_trace(samples, median_ratio=args.median_ratio,
-                                              sigma_k=args.sigma_k)
-    else:
-        report = trace_analysis.PeakReport((), None, (), None, 0.0)
+    report = trace_analysis.analyze_trace(samples, median_ratio=args.median_ratio,
+                                          sigma_k=args.sigma_k)
     # vars() is the shallow form of dataclasses.asdict, which would
     # deep-copy every peak row and gap one by one.
     print(json.dumps(vars(report)))
@@ -202,6 +199,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except FieldError as exc:
+        flag = _FLAG_OF.get(exc.field)
+        print(f"error: {flag}: {exc.rule}" if flag else f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT if flag else EXIT_MODEL
     except (ConfigError, trace_analysis.TraceFormatError, model_fit.SampleFormatError,
             FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,9 @@ class HopSpec:
                 "must be finite and > 0")
         require(finite_nonneg(self.base_latency), "base_latency", "must be finite and >= 0")
         require(0 < self.availability <= 1, "availability", "must be in (0, 1]")
+        effective = self.bandwidth * self.availability  # transport divides by it
+        require(effective > 0 and math.isfinite(1 / effective), "bandwidth",
+                "times availability must give a finite per-byte time")
 
 
 @dataclass(frozen=True)

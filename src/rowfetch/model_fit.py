@@ -6,9 +6,8 @@ result set of N records, the four-constant model is linear in the basis
     [floor(N/f),  f,  1 if N mod f > 0 else 0,  N mod f]
 
 so ordinary least squares recovers (k1..k4).  Physical constants cannot
-be negative: any coefficient the unconstrained solve drives below zero
-is pinned at zero and the remaining columns are re-solved (a small
-active-set pass, at most one drop per coefficient).
+be negative, so the fit is the exact non-negative least-squares optimum:
+the best non-negative solve over every subset of the basis columns.
 
 Identifiability caveats handled here rather than silently mis-reported:
 
@@ -25,13 +24,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .core_model import CostConstants
+from .core_model import CostConstants, finite_nonneg, require
 
 BASIS_NAMES = ("full_trips", "prefetch_size", "residual_trip", "residual_records")
 CONDITION_WARN_AT = 1e8
@@ -54,12 +53,9 @@ class FitSample:
     total_records: int
 
     def __post_init__(self):
-        if self.prefetch_size < 1:
-            raise ValueError("prefetch_size must be >= 1")
-        if self.total_records < 0:
-            raise ValueError("total_records must be >= 0")
-        if not math.isfinite(self.total_elapsed) or self.total_elapsed < 0:
-            raise ValueError(f"total_elapsed must be finite and >= 0, got {self.total_elapsed!r}")
+        require(self.prefetch_size >= 1, "prefetch_size", "must be >= 1")
+        require(self.total_records >= 0, "total_records", "must be >= 0")
+        require(finite_nonneg(self.total_elapsed), "total_elapsed", "must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,16 +86,23 @@ def _collinear_columns(design: np.ndarray, names: list[str]) -> list[str]:
 
 
 def _solve_nonnegative(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """OLS with negative coefficients pinned at zero, one drop at a time."""
-    active = list(range(design.shape[1]))
-    while active:
-        sol, *_ = np.linalg.lstsq(design[:, active], y, rcond=None)
-        if (sol >= -1e-12).all():
-            coef = np.zeros(design.shape[1])
-            coef[active] = np.clip(sol, 0.0, None)
-            return coef
-        del active[int(np.argmin(sol))]
-    return np.zeros(design.shape[1])
+    """Exact non-negative least squares, by trying every column subset.
+
+    The optimum is the unconstrained solve on some subset (Lawson &
+    Hanson 1974), so the best feasible subset solve is exact.
+    """
+    width = design.shape[1]
+    feasible = [np.zeros(width)]
+    for size in range(width, 0, -1):
+        for cols in map(list, combinations(range(width), size)):
+            sol, *_ = np.linalg.lstsq(design[:, cols], y, rcond=None)
+            if (sol >= -1e-12).all():
+                coef = np.zeros(width)
+                coef[cols] = np.clip(sol, 0.0, None)
+                if size == width:  # already non-negative: keep it bit for bit
+                    return coef
+                feasible.append(coef)
+    return min(feasible, key=lambda coef: float(np.sum((design @ coef - y) ** 2)))
 
 
 def fit_cost_model(samples: list[FitSample]) -> FitResult:

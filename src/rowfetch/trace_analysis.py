@@ -18,17 +18,18 @@ so the threshold rule here is this module's own invention:
   counts as a peak.
 * A trace whose values are all equal has no peaks by definition.
 
-Both knobs are exposed (and overridable from the command line), and the
-rule is scale-invariant: rescaling a trace by any positive factor leaves
-the detected rows unchanged.
+Both knobs are exposed (and overridable from the command line; each must
+be finite and >= 0), and the rule is scale-invariant: rescaling a trace
+by any positive factor leaves the detected rows unchanged.
 
 A trace is handled as columns, never as per-row objects: the reader
 returns an (n, 2) float64 array of (row_index, elapsed_ms), and the
-analysis functions accept that array or any sequence of pairs.  The
-median, mean and population stdev are computed in float64; only the
+analysis functions accept that array or any sequence of pairs.  One
+rule holds for every trace, read or in memory: row indices are exactly
+1..n and elapsed times are finite, so row r sits at position r - 1 and
+peaks are found and read by position.  An empty trace has no peaks.
+The median, mean and population stdev are computed in float64; only the
 mean over the peak rows (avg_trip_time) is exact, as statistics.mean.
-The reader rejects a trace whose row indices are not exactly 1..n or
-whose elapsed times are not finite, naming the first offending line.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Sample = tuple[int, float]
-Samples = np.ndarray | Sequence[Sample]
+from .core_model import finite_nonneg, require
+
+Samples = np.ndarray | Sequence[tuple[int, float]]
 
 
 class TraceFormatError(ValueError):
@@ -62,8 +64,12 @@ class PeakReport:
 
 
 def _sample_array(samples: Samples) -> np.ndarray:
-    """View samples as an (n, 2) float64 array; a no-op on the reader's output."""
-    return np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    """View samples as an (n, 2) float64 array, checked against the trace rule."""
+    samples = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    if not (np.array_equal(samples[:, 0], np.arange(1, len(samples) + 1))
+            and np.isfinite(samples[:, 1]).all()):
+        raise ValueError("trace rows must be numbered 1..n with finite elapsed_ms")
+    return samples
 
 
 def detect_peaks(
@@ -73,11 +79,10 @@ def detect_peaks(
     sigma_k: float = 3.0,
 ) -> list[int]:
     """Return the row indices whose elapsed time stands out as a peak."""
-    samples = _sample_array(samples)
-    if len(samples) == 0:
-        raise ValueError("cannot detect peaks in an empty trace")
-    rows, values = samples[:, 0], samples[:, 1]
-    if values.max() == values.min():
+    require(finite_nonneg(median_ratio), "median_ratio", "must be finite and >= 0")
+    require(finite_nonneg(sigma_k), "sigma_k", "must be finite and >= 0")
+    values = _sample_array(samples)[:, 1]
+    if len(values) == 0 or values.max() == values.min():
         return []
     if np.count_nonzero(values == 0.0) > len(values) / 2:
         # Degenerate statistics: the cache-hit floor dominates, so any
@@ -86,7 +91,7 @@ def detect_peaks(
     else:
         threshold = max(median_ratio * np.median(values),
                         values.mean() + sigma_k * values.std())
-    return rows[np.flatnonzero(values > threshold)].astype(np.int64).tolist()
+    return (np.flatnonzero(values > threshold) + 1).tolist()
 
 
 def infer_effective_prefetch(peaks: Sequence[int], first_row: int = 1) -> PeakReport:
@@ -112,20 +117,13 @@ def infer_effective_prefetch(peaks: Sequence[int], first_row: int = 1) -> PeakRe
 
 
 def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | None:
-    """Mean elapsed over the peak rows, or None when there are none."""
+    """Mean elapsed over the peak rows, or None when none lies in the trace."""
     samples = _sample_array(samples)
-    rows = samples[:, 0]
-    targets = np.unique(np.fromiter(peaks, dtype=np.float64))
-    if len(targets) == 0:
+    rows = np.unique(np.fromiter(peaks, dtype=np.int64))
+    rows = rows[(rows >= 1) & (rows <= len(samples))]
+    if len(rows) == 0:
         return None
-    # Binary search, not np.isin: isin sorts a copy of every row and
-    # needs several times the trace's memory to do it.
-    nearest = np.searchsorted(targets, rows)
-    np.minimum(nearest, len(targets) - 1, out=nearest)
-    wanted = targets[nearest] == rows
-    if not wanted.any():
-        return None
-    return mean(samples[wanted, 1].tolist())
+    return mean(samples[rows - 1, 1].tolist())
 
 
 def analyze_trace(
@@ -133,21 +131,20 @@ def analyze_trace(
     *,
     median_ratio: float = 10.0,
     sigma_k: float = 3.0,
-    first_row: int = 1,
 ) -> PeakReport:
     """Full pipeline: detect peaks, infer the prefetch size, average them."""
     samples = _sample_array(samples)
     peaks = detect_peaks(samples, median_ratio=median_ratio, sigma_k=sigma_k)
-    report = infer_effective_prefetch(peaks, first_row)
+    report = infer_effective_prefetch(peaks)
     return replace(report, avg_trip_time=avg_trip_time_from_trace(samples, peaks))
 
 
 def read_trace_samples(path) -> np.ndarray:
     """Load a row_index,elapsed_ms CSV as an (n, 2) float64 array.
 
-    The header must match, row indices must run 1..n and elapsed times
-    must be finite; otherwise TraceFormatError names the first bad line.
-    Blank lines are skipped.
+    The header must match and the rows must obey the trace rule;
+    otherwise TraceFormatError names the first bad line.  Blank lines
+    are skipped.
     """
     # Undecodable bytes become U+FFFD, which no number parses, so they
     # fail as a bad row with its line rather than as a decoding error.
@@ -161,12 +158,9 @@ def read_trace_samples(path) -> np.ndarray:
                                         UserWarning)
                 samples = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None,
                                      usecols=(0, 1), ndmin=2)
+            return _sample_array(samples)
         except ValueError as exc:
             raise TraceFormatError(_first_bad_line(path)) from exc
-    if not (np.array_equal(samples[:, 0], np.arange(1, len(samples) + 1))
-            and np.isfinite(samples[:, 1]).all()):
-        raise TraceFormatError(_first_bad_line(path))
-    return samples
 
 
 def _first_bad_line(path) -> str:

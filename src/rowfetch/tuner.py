@@ -18,6 +18,7 @@ from .core_model import (
     CostConstants,
     FetchPlan,
     quantized_cost,
+    require,
     round_trips,
     trip_decrease_per_unit_f,
 )
@@ -35,8 +36,8 @@ class MemoryBudget:
     record_bytes: int
 
     def __post_init__(self):
-        if self.record_bytes < 1:
-            raise ValueError("record_bytes must be >= 1")
+        require(self.max_bytes >= 1, "max_bytes", "must be >= 1")
+        require(self.record_bytes >= 1, "record_bytes", "must be >= 1")
         if self.max_bytes < self.record_bytes:
             raise ValueError("budget must afford at least one record")
 
@@ -64,10 +65,9 @@ def threshold_prefetch(n: int, zero_run: int = DEFAULT_ZERO_RUN) -> int:
     Beyond f = n every size needs exactly one trip, so a result always
     exists and never exceeds n.
     """
+    require(zero_run >= 1, "zero_run", "must be >= 1")
     if n < 1:
         raise ValueError("need at least one record")
-    if zero_run < 1:
-        raise ValueError("zero_run must be >= 1")
     streak_start = None
     f = 1
     while True:

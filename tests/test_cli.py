@@ -153,6 +153,21 @@ class TestAnalyze:
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["inferred_prefetch"] == 10
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--median-ratio", "nan"), ("--median-ratio", "inf"), ("--median-ratio", "-1"),
+        ("--sigma-k", "nan"), ("--sigma-k", "inf"), ("--sigma-k", "-1"),
+    ])
+    def test_bad_knob_exit_input_naming_flag(self, tmp_path, capsys, flag, value):
+        _, trace, _ = simulate(tmp_path, "baseline.cfg")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("row_index,elapsed_ms\n")
+        capsys.readouterr()
+        for path in (trace, empty):
+            assert cli.main(["analyze", str(path), f"{flag}={value}"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"error: {flag}:") == 2
+
     def test_missing_file(self, tmp_path, capsys):
         rc = cli.main(["analyze", str(tmp_path / "nope.csv")])
         assert rc == EXIT_INPUT
@@ -337,6 +352,16 @@ class TestRecommend:
         rc = cli.main(["recommend", cfg, "--budget-bytes", "1000000"])
         assert rc == EXIT_MODEL
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--budget-bytes", "0"], "--budget-bytes"),
+        (["--budget-bytes=-5"], "--budget-bytes"),
+        (["--budget-bytes", "1000000", "--zero-run", "0"], "--zero-run"),
+        (["--budget-bytes", "1000000", "--zero-run=-3"], "--zero-run"),
+    ])
+    def test_bad_flag_exit_input_naming_flag(self, capsys, flags, named):
+        assert cli.main(["recommend", "baseline.cfg", *flags]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {named}:")
+
 
 class TestConfigErrors:
     def test_unknown_key(self, tmp_path, capsys):
@@ -398,6 +423,19 @@ class TestConfigErrors:
                        "--out", str(tmp_path / "s.tsv")])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.count("error: --jitter:") == 2
+
+    @pytest.mark.parametrize("key", ["network.bandwidth_bytes_per_ms",
+                                     "network.availability"])
+    def test_subnormal_effective_bandwidth_names_bandwidth(self, tmp_path, capsys, key):
+        # 1e-320 is finite and > 0, but one byte over it takes an
+        # infinite time.
+        cfg = config_file(tmp_path, {key: "1e-320"})
+        rc, _, _ = simulate(tmp_path, cfg)
+        assert rc == EXIT_INPUT
+        assert cli.main(["recommend", cfg, "--budget-bytes", "1000000"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: network.bandwidth_bytes_per_ms:") == 2
 
     def test_readme_key_table_matches_key_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from rowfetch.core_model import FetchPlan, WorkloadSpec, quantized_cost
+from rowfetch.core_model import FetchPlan, FieldError, WorkloadSpec, quantized_cost
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch
 from rowfetch.model_fit import (
     FitError,
@@ -129,6 +129,36 @@ class TestDegenerateDesigns:
         assert k.k1 == pytest.approx(250.0, rel=0.05)
 
 
+class TestNonNegativeOptimum:
+    def test_kkt_conditions_on_random_designs(self):
+        # The fit must be the exact non-negative least-squares optimum x:
+        # with gradient g = A^T (A x - y), every g_i >= 0, and g_i = 0
+        # wherever x_i > 0.  A greedy drop-the-most-negative pass breaks
+        # this on about a fifth of these designs.
+        rng = np.random.default_rng(1974)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(50, 2000))
+            sizes = sorted({int(f) for f in rng.integers(1, n, size=int(rng.integers(5, 10)))})
+            y = rng.uniform(0.0, 1000.0, size=len(sizes))
+            try:
+                result = fit_cost_model([FitSample(f, float(v), n) for f, v in zip(sizes, y)])
+            except FitError:
+                continue
+            k = result.constants
+            x = np.array([k.k1, k.k2, k.k3, k.k4])
+            design = np.array([[n // f, f, 1.0 if n % f else 0.0, n % f] for f in sizes])
+            if result.unidentifiable:
+                design, x = design[:, :2], x[:2]
+            grad = design.T @ (design @ x - y)
+            tol = 1e-9 * np.linalg.norm(design) * np.linalg.norm(y)
+            assert (x >= 0).all()
+            assert (grad >= -tol).all(), (n, sizes)
+            assert (np.abs(grad[x > 0]) <= tol).all(), (n, sizes)
+            checked += 1
+        assert checked > 150
+
+
 class TestSimulatorDrivenFits:
     @staticmethod
     def elapsed_at(f, net):
@@ -208,3 +238,15 @@ class TestSamplesCsv:
         path.write_text("# N=502\nf,elapsed_ms\nten,100.0\n")
         with pytest.raises(SampleFormatError):
             read_fit_samples(path)
+
+    @pytest.mark.parametrize("args, field", [
+        ((0, 100.0, 502), "prefetch_size"),
+        ((10, 100.0, -1), "total_records"),
+        ((10, -1.0, 502), "total_elapsed"),
+        ((10, float("nan"), 502), "total_elapsed"),
+        ((10, float("inf"), 502), "total_elapsed"),
+    ])
+    def test_sample_fields_checked_by_the_spec_rule(self, args, field):
+        with pytest.raises(FieldError) as exc:
+            FitSample(*args)
+        assert exc.value.field == field

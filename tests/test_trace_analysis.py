@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rowfetch.core_model import WorkloadSpec, round_trips
+from rowfetch.core_model import FieldError, WorkloadSpec, round_trips
 from rowfetch.fetch_sim import (
     DriverSpec,
     NetworkSpec,
@@ -20,6 +20,7 @@ from rowfetch.fetch_sim import (
     write_trace_csv,
 )
 from rowfetch.trace_analysis import (
+    PeakReport,
     TraceFormatError,
     analyze_trace,
     avg_trip_time_from_trace,
@@ -123,9 +124,60 @@ class TestDetectPeaks:
         assert detect_peaks(samples) == []
         assert detect_peaks(samples, median_ratio=3.0, sigma_k=2.0) == [25]
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            detect_peaks([])
+    def test_empty_trace_has_no_peaks(self):
+        assert detect_peaks([]) == []
+
+    @pytest.mark.parametrize("knob", ["median_ratio", "sigma_k"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_knobs_must_be_finite_and_nonnegative(self, knob, value):
+        with pytest.raises(FieldError) as exc:
+            detect_peaks(synthetic(50, {11: 400.0}), **{knob: value})
+        assert exc.value.field == knob
+
+
+class TestTraceRule:
+    """In-memory traces obey the reader's rule: rows 1..n, finite elapsed_ms."""
+
+    @pytest.mark.parametrize("samples", [
+        [(1, 0.0), (3, 400.0), (4, 0.0)],
+        [(1, 0.0), (2, 400.0), (2, 400.0), (3, 0.0)],
+        [(2, 400.0), (1, 0.0), (3, 0.0)],
+        [(0, 0.0), (1, 400.0), (2, 0.0)],
+        [(1, 0.0), (2, float("nan")), (3, 0.0)],
+        [(1, 0.0), (2, float("inf")), (3, 0.0)],
+    ], ids=["gap", "duplicate", "unsorted", "first_row_0", "nan", "inf"])
+    def test_broken_trace_raises(self, samples):
+        for given in (samples, np.array(samples)):
+            with pytest.raises(ValueError):
+                analyze_trace(given)
+            with pytest.raises(ValueError):
+                detect_peaks(given)
+            with pytest.raises(ValueError):
+                avg_trip_time_from_trace(given, [2])
+
+    def test_empty_trace_is_inconclusive(self):
+        for given in ([], np.empty((0, 2))):
+            assert analyze_trace(given) == PeakReport((), None, (), None, 0.0)
+
+    def test_peaks_outside_the_trace_are_ignored(self):
+        samples = synthetic(30, {11: 400.0, 21: 410.0})
+        assert avg_trip_time_from_trace(samples, [0, 11, 21, 21, 31, -4]) == 405.0
+        assert avg_trip_time_from_trace(samples, [31, 0]) is None
+
+    def test_avg_trip_time_memory_is_positional(self):
+        # 1e6 rows (16 MB) and 1e5 peaks: the rule check and a gather of
+        # the peak values, no per-row search index.
+        rows = np.arange(1, 1_000_001, dtype=np.float64)
+        samples = np.column_stack((rows, np.where(rows % 10 == 1, 457.25, 0.0)))
+        peaks = list(range(11, 1_000_001, 10))
+        tracemalloc.start()
+        try:
+            avg = avg_trip_time_from_trace(samples, peaks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert avg == 457.25
+        assert peak < 12 * 2**20
 
 
 class TestMatchesTupleReference:
