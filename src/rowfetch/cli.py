@@ -66,7 +66,7 @@ def cmd_simulate(args) -> int:
     fetch_sim.write_trace_csv(trace, trace_path, trips_path)
     execution, retrieval = fetch_sim.stage_breakdown(trace)
     print(f"effective_prefetch: {trace.effective_prefetch}")
-    print(f"trips: {len(trace.trip_log)}")
+    print(f"trips: {len(trace.records)}")
     print(f"total_elapsed_ms: {trace.total_elapsed_ms!r}")
     print(f"execution_ms: {execution!r}")
     print(f"retrieval_ms: {retrieval!r}")
@@ -108,8 +108,7 @@ def cmd_sweep(args) -> int:
                                              replace(cfg.driver, enforced_prefetch=f),
                                              seed=cfg.seed, jitter=cfg.jitter)
             elapsed.append(trace.total_elapsed_ms)
-            trips.append(len(trace.trip_log))
-            del trace  # free this trip log before the next size builds its own
+            trips.append(len(trace.records))
     else:
         # Theoretical curves are drawn with constants calibrated once at
         # the driver's size in force, then swept across f.

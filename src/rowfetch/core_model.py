@@ -49,7 +49,9 @@ class WorkloadSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "field_byte_sizes", tuple(self.field_byte_sizes))
-        require(self.total_records >= 0, "total_records", "must be >= 0")
+        # Up to 2**53 every count is exact in float64, and int64 products
+        # such as i * f <= n + f cannot overflow.
+        require(0 <= self.total_records <= 2**53, "total_records", "must be in [0, 2**53]")
         require(all(b >= 1 for b in self.field_byte_sizes), "field_byte_sizes",
                 "must each be >= 1")
 

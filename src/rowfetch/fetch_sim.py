@@ -14,24 +14,24 @@ Two modelling choices shape the traces this module emits:
 * Each trip's whole cost lands on the first row of its batch (the row
   whose next() call actually blocks).
 
-Optional multiplicative jitter perturbs every component with a seeded
-per-trip RNG; the same seed always reproduces the same trace bit for
-bit.
+Optional multiplicative jitter draws its factors from one counter-based
+stream keyed by the seed, trip i's five at stream positions 5(i-1)..5i-1,
+so the same seed always reproduces the same trace bit for bit.
 
-A trace is stored as its trip log alone.  Only trips - 1 of its n rows
-are nonzero, so the per-row samples are rebuilt from the log on request
+A trace is stored as its trip columns alone.  Only trips - 1 of its n rows
+are nonzero, so the per-row samples are rebuilt from the columns on request
 and a simulation costs O(trips), not O(rows).
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterator
+
+import numpy as np
 
 from .core_model import CostConstants, WorkloadSpec, finite_nonneg, require, round_trips
 
@@ -127,31 +127,47 @@ class TripRecord:
                 + self.transport_ms + self.convert_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatencyTrace:
-    """A simulated fetch, stored as the trip log its per-row times come from.
+    """A simulated fetch, stored as the trip columns its per-row times come from.
 
+    records is the int64 column of batch sizes and components the float64
+    (trips, 5) block of r, e, a, t, c times in ms; row i-1 is trip i.
     Trip i's whole cost lands on row (i-1)*f+1, the first row of its
     batch; every other row costs 0.0.  The first trip's cost is carried
     by the execute call rather than any row, so conservation reads:
 
         fsum(sample values) + execution_call_ms == fsum(trip totals)
 
-    Per-row samples are built from the log on request: iter_samples()
-    streams them, and samples materializes all n of them.
+    Built on request: iter_samples() streams the per-row samples, samples
+    materializes all n of them, and trip_log builds the TripRecords.
     """
 
-    trip_log: tuple[TripRecord, ...]
+    records: np.ndarray
+    components: np.ndarray
     effective_prefetch: int
     total_records: int
+
+    def _totals(self) -> np.ndarray:
+        r, e, a, t, c = self.components.T
+        return r + e + a + t + c  # TripRecord.total_ms, same order
+
+    def _trip_rows(self) -> Iterator[tuple]:
+        # (trip_index, records, r, e, a, t, c) as Python numbers.
+        return zip(count(1), self.records.tolist(), *self.components.T.tolist())
+
+    @property
+    def trip_log(self) -> tuple[TripRecord, ...]:
+        """One TripRecord per trip, built each time it is read."""
+        return tuple(TripRecord(*row) for row in self._trip_rows())
 
     def iter_samples(self) -> Iterator[tuple[int, float]]:
         """Yield (row_index, elapsed_ms) for every row, row indices from 1."""
         row = 1
-        for trip in self.trip_log:
-            yield row, (trip.total_ms if row > 1 else 0.0)
-            yield from zip(range(row + 1, row + trip.records), repeat(0.0))
-            row += trip.records
+        for records, total in zip(self.records.tolist(), self._totals().tolist()):
+            yield row, (total if row > 1 else 0.0)
+            yield from zip(range(row + 1, row + records), repeat(0.0))
+            row += records
 
     @property
     def samples(self) -> tuple[tuple[int, float], ...]:
@@ -161,11 +177,11 @@ class LatencyTrace:
     @property
     def execution_call_ms(self) -> float:
         """Wall time of the execute call (the whole first trip)."""
-        return self.trip_log[0].total_ms if self.trip_log else 0.0
+        return (self._totals().tolist() or [0.0])[0]
 
     @property
     def total_elapsed_ms(self) -> float:
-        return math.fsum(t.total_ms for t in self.trip_log)
+        return math.fsum(self._totals().tolist())
 
 
 def effective_prefetch(driver: DriverSpec) -> int:
@@ -175,26 +191,19 @@ def effective_prefetch(driver: DriverSpec) -> int:
     return driver.default_prefetch
 
 
-def transport_time(byte_count: int, net: NetworkSpec) -> float:
+def transport_time(byte_count, net: NetworkSpec):
     """Time (ms) to move byte_count bytes across every hop in the chain.
 
     Each hop charges its base latency plus bytes over effective
     bandwidth, where availability scales the bandwidth down.  No hops
-    means no transport cost.
+    means no transport cost.  byte_count may also be a numpy array.
     """
-    if byte_count < 0:
+    if np.any(byte_count < 0):
         raise ValueError("byte_count must be >= 0")
     total = 0.0
     for hop in net.hops:
         total += hop.base_latency + byte_count / (hop.bandwidth * hop.availability)
     return total
-
-
-def _trip_rng(seed: int, trip_index: int) -> random.Random:
-    # One sub-seed per trip, derived by hashing, so the draw order inside
-    # a trip never depends on how many trips precede it.
-    digest = hashlib.sha256(f"{seed}:{trip_index}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def simulate_fetch(
@@ -211,7 +220,8 @@ def simulate_fetch(
     Trip 1 additionally pays the hard parse, and disk refills are charged
     to whichever trip pushes the cumulative record count across a
     server-cache boundary.  jitter scales each component by an
-    independent uniform factor in [1-jitter, 1+jitter].
+    independent uniform factor in [1-jitter, 1+jitter], drawn from the
+    Philox stream keyed by seed mod 2**128, so any integer seed is valid.
     """
     if workload.record_bytes == 0:
         raise ValueError("workload records carry zero bytes; nothing to transport")
@@ -221,34 +231,26 @@ def simulate_fetch(
     f = effective_prefetch(driver)
     n = workload.total_records
     trips = round_trips(n, f)
-    n_fields = len(workload.field_byte_sizes)
-    record_bytes = workload.record_bytes
-
-    def batch(records: int) -> tuple[int, float, float, float]:
-        # Components that depend only on the batch size: (records, e, t, c).
-        return (records,
-                server.soft_parse + server.per_record_search * records,
-                transport_time(records * record_bytes, net),
-                records * n_fields * driver.per_field_conversion)
-
-    full = batch(f)
-    last = batch(n - (trips - 1) * f)  # n mod f, or f when f divides n
-    log = []
-    refills_done = 0
-    for i in range(1, trips + 1):
-        records, e, t, c = full if i < trips else last
-        r = driver.request_overhead
-        if i == 1:
-            e += server.hard_parse
-        served = min(i * f, n)
-        refills_needed = -(-served // server.server_cache_size)
-        a = (refills_needed - refills_done) * server.disk_access_per_refill
-        refills_done = refills_needed
-        if jitter:
-            rng = _trip_rng(seed, i)
-            r, e, a, t, c = (v * rng.uniform(1 - jitter, 1 + jitter) for v in (r, e, a, t, c))
-        log.append(TripRecord(i, records, r, e, a, t, c))
-    return LatencyTrace(tuple(log), f, n)
+    # Clamping both sizes to n changes no batch or refill count and keeps
+    # int64 products exact.  Byte and field counts are multiplied as floats,
+    # which round as Python's int products do and cannot overflow.
+    batch = min(f, n)
+    cache = min(server.server_cache_size, max(n, 1))
+    records = np.minimum(batch, n - batch * np.arange(trips))
+    refills = -(-np.cumsum(records) // cache)  # ceil(records served / cache)
+    block = np.empty((trips, 5))
+    block[:, 0] = driver.request_overhead
+    block[:, 1] = server.soft_parse + server.per_record_search * records
+    block[:1, 1] += server.hard_parse
+    block[:, 2] = np.diff(refills, prepend=0) * server.disk_access_per_refill
+    block[:, 3] = transport_time(records * float(workload.record_bytes), net)
+    block[:, 4] = (records * float(len(workload.field_byte_sizes))
+                   * driver.per_field_conversion)
+    if jitter:
+        stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
+        block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
+    records.flags.writeable = block.flags.writeable = False
+    return LatencyTrace(records, block, f, n)
 
 
 def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:
@@ -258,10 +260,10 @@ def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:
     execute); retrieval is everything else, including the first batch's
     own refill, transport, and conversion.
     """
-    if not trace.trip_log:
+    if not len(trace.records):
         return 0.0, 0.0
-    first = trace.trip_log[0]
-    execution = first.request_ms + first.execute_ms
+    request, execute = trace.components[0, :2].tolist()
+    execution = request + execute
     return execution, trace.total_elapsed_ms - execution
 
 
@@ -303,16 +305,14 @@ TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
     """Write the per-row samples and the trip component log as CSV.
 
-    The samples are streamed from the trip log, never held in memory.
+    The samples are streamed from the trip columns, never held in
+    memory.  csv writes a float as its repr, so values round-trip.
     """
     with open(samples_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        writer.writerows((row, repr(ms)) for row, ms in trace.iter_samples())
+        writer.writerows(trace.iter_samples())
     with open(trips_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIP_HEADER)
-        for t in trace.trip_log:
-            writer.writerow((t.trip_index, t.records, repr(t.request_ms),
-                             repr(t.execute_ms), repr(t.cache_refill_ms),
-                             repr(t.transport_ms), repr(t.convert_ms)))
+        writer.writerows(trace._trip_rows())

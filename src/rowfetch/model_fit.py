@@ -209,16 +209,10 @@ def write_fit_samples(samples: list[FitSample], path) -> None:
 
 
 def result_json(fit: FitResult) -> str:
-    """Serialize a FitResult as a flat JSON object."""
-    k = fit.constants
-    payload = {
-        "k1": None if "k1" in fit.unidentifiable else k.k1,
-        "k2": None if "k2" in fit.unidentifiable else k.k2,
-        "k3": None if "k3" in fit.unidentifiable else k.k3,
-        "k4": None if "k4" in fit.unidentifiable else k.k4,
-        "residual_rms": fit.residual_rms,
-        "sample_count": fit.sample_count,
-        "condition_warning": fit.condition_warning,
-        "warnings": list(fit.warnings),
-    }
+    """Serialize a FitResult as a flat JSON object: k1..k4, null where
+    unidentifiable, then the other result fields in declaration order."""
+    payload = {name: None if name in fit.unidentifiable else value
+               for name, value in vars(fit.constants).items()}
+    payload.update((name, value) for name, value in vars(fit).items()
+                   if name not in ("constants", "unidentifiable"))
     return json.dumps(payload)

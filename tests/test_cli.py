@@ -114,6 +114,15 @@ class TestSeedPrecedence:
         _, flagged, _ = simulate(tmp_path, cfg, stem="flag", extra=("--seed", "7"))
         assert flagged.read_bytes() == base.read_bytes()
 
+    @pytest.mark.parametrize("seed", [-1, 2**130])
+    def test_any_integer_seed_reruns_byte_identical(self, tmp_path, seed):
+        runs = [simulate(tmp_path, "baseline.cfg", stem=stem,
+                         extra=(f"--seed={seed}", "--jitter", "0.1")) for stem in ("a", "b")]
+        assert [rc for rc, _, _ in runs] == [EXIT_OK, EXIT_OK]
+        (_, trace_a, trips_a), (_, trace_b, trips_b) = runs
+        assert trace_a.read_bytes() == trace_b.read_bytes()
+        assert trips_a.read_bytes() == trips_b.read_bytes()
+
     def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = config_file(tmp_path, {"run.jitter": "0.25"})
         monkeypatch.setenv(SEED_ENV, "lucky")
@@ -351,6 +360,11 @@ class TestRecommend:
         cfg = config_file(tmp_path, {"workload.total_records": "0"})
         rc = cli.main(["recommend", cfg, "--budget-bytes", "1000000"])
         assert rc == EXIT_MODEL
+
+    def test_record_count_above_2_53_exit_input_at_parse(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, {"workload.total_records": str(10**20)})
+        assert cli.main(["recommend", cfg, "--budget-bytes", "1000000"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: workload.total_records:")
 
     @pytest.mark.parametrize("flags, named", [
         (["--budget-bytes", "0"], "--budget-bytes"),

@@ -204,6 +204,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             WorkloadSpec(10, (50, 0))
 
+    def test_workload_records_capped_at_2_53(self):
+        assert WorkloadSpec(2**53, (8,)).total_records == 2**53
+        with pytest.raises(FieldError) as exc:
+            WorkloadSpec(2**53 + 1, (8,))
+        assert exc.value.field == "total_records"
+
     def test_workload_record_bytes(self):
         assert WorkloadSpec(502, (50, 4000, 8, 16)).record_bytes == 4074
 

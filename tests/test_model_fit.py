@@ -99,6 +99,11 @@ class TestDegenerateDesigns:
         assert payload["k3"] is None and payload["k4"] is None
         assert payload["k1"] == pytest.approx(TRUE_K[0], rel=1e-6)
 
+    def test_result_json_key_order(self):
+        payload = json.loads(result_json(fit_cost_model(make_samples())))
+        assert list(payload) == ["k1", "k2", "k3", "k4", "residual_rms", "sample_count",
+                                 "condition_warning", "warnings"]
+
     def test_collinear_columns_named(self):
         # For N=502 every f in [168, 251) yields floor(N/f)=2 and
         # residual 502-2f, so trips and the residual indicator are both
