@@ -28,12 +28,13 @@ the command line anywhere a config path is accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .core_model import FieldError, WorkloadSpec, require
-from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec
+from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec, transport_time
 
 
 class ConfigError(ValueError):
@@ -139,6 +140,13 @@ def parse_config(text: str) -> RunConfig:
     network = NetworkSpec(tuple(
         _build(HopSpec, "hop", **{field: values[i] for field, values in per_hop.items()})
         for i in range(count)))
+    # Each hop is finite alone; moving the whole result set must be too.
+    if not math.isfinite(sum(hop.base_latency for hop in network.hops)):
+        raise ConfigError(_KEY_OF[("hop", "base_latency")], "sums past float64 over the hops")
+    whole_set = max(workload.total_records, 1) * workload.record_bytes
+    if not math.isfinite(transport_time(whole_set, network)):
+        raise ConfigError(_KEY_OF[("hop", "bandwidth")],
+                          "too small to move the whole result set in a finite time")
     server = _build(ServerSpec, "server", **specs["server"])
     driver = _build(DriverSpec, "driver", **specs["driver"])
     cfg = _build(RunConfig, "run", workload=workload, network=network, server=server,

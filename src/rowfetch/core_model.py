@@ -40,6 +40,13 @@ def finite_nonneg(x: float) -> bool:
     return 0 <= x < math.inf
 
 
+def checked_total(ms: float) -> float:
+    """ms itself, or a ValueError when an elapsed-time total overflows float64."""
+    if not math.isfinite(ms):
+        raise ValueError("elapsed time overflows float64; the configured costs are too large")
+    return ms
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A query result set: how many records, and how wide each one is."""
@@ -54,6 +61,9 @@ class WorkloadSpec:
         require(0 <= self.total_records <= 2**53, "total_records", "must be in [0, 2**53]")
         require(all(b >= 1 for b in self.field_byte_sizes), "field_byte_sizes",
                 "must each be >= 1")
+        # A record's byte count must convert to float64 for transport times.
+        require(sum(self.field_byte_sizes) <= 2**53, "field_byte_sizes",
+                "must sum to at most 2**53")
 
     @property
     def record_bytes(self) -> int:
@@ -128,7 +138,7 @@ def quantized_cost(plan: FetchPlan, k: CostConstants) -> float:
     cost = k.k1 * (n // f) + k.k2 * f
     if residual:
         cost += k.k3 + k.k4 * residual
-    return cost
+    return checked_total(cost)
 
 
 def reciprocal_cost(n: int, f: int, k1: float) -> float:
@@ -137,7 +147,7 @@ def reciprocal_cost(n: int, f: int, k1: float) -> float:
         raise ValueError("prefetch size must be >= 1")
     if n < 0:
         raise ValueError("record count must be >= 0")
-    return k1 * n / f
+    return checked_total(k1 * n / f)
 
 
 def trip_decrease_per_unit_f(n: int, f: int) -> int:

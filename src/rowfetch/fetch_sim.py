@@ -33,7 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core_model import CostConstants, WorkloadSpec, finite_nonneg, require, round_trips
+from .core_model import (CostConstants, WorkloadSpec, checked_total, finite_nonneg, require,
+                         round_trips)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,10 @@ class LatencyTrace:
 
     @property
     def total_elapsed_ms(self) -> float:
-        return math.fsum(self._totals().tolist())
+        try:
+            return math.fsum(self._totals().tolist())
+        except OverflowError:  # finite trips whose sum leaves float64
+            return math.inf
 
 
 def effective_prefetch(driver: DriverSpec) -> int:
@@ -250,7 +254,9 @@ def simulate_fetch(
         stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
         block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
     records.flags.writeable = block.flags.writeable = False
-    return LatencyTrace(records, block, f, n)
+    trace = LatencyTrace(records, block, f, n)
+    checked_total(trace.total_elapsed_ms)  # every printed time is then finite
+    return trace
 
 
 def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:

@@ -7,11 +7,15 @@ exit code, the printed summary, and the artifacts on disk.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rowfetch
 from rowfetch import cli, config, fetch_sim
 from rowfetch.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, EXIT_USAGE, SEED_ENV
 from rowfetch.config import list_presets, load_config
@@ -54,10 +58,29 @@ def config_file(tmp_path, overrides=None, drop=(), name="run.cfg") -> str:
     return str(path)
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`rowfetch ARGS...` in a child process, killed after 20 s so a hang fails."""
+    src = str(Path(rowfetch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "rowfetch.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
 def simulate(tmp_path, config, stem="trace", extra=()):
     out = tmp_path / f"{stem}.csv"
     rc = cli.main(["simulate", config, "--out-trace", str(out), *extra])
     return rc, out, out.with_name(f"{stem}_trips.csv")
+
+
+def command_args(tmp_path, command: str, cfg: str) -> list[str]:
+    """CLI arguments running command on cfg; sweep_MODE is sweep --mode MODE."""
+    if command == "simulate":
+        return ["simulate", cfg, "--out-trace", str(tmp_path / "t.csv")]
+    if command == "recommend":
+        return ["recommend", cfg, "--budget-bytes", "1000000"]
+    mode = command.partition("_")[2] or "sim"
+    return ["sweep", cfg, "--f-range", "1:5", "--mode", mode, "--out", str(tmp_path / "s.tsv")]
 
 
 class TestSimulate:
@@ -366,6 +389,22 @@ class TestRecommend:
         assert cli.main(["recommend", cfg, "--budget-bytes", "1000000"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: workload.total_records:")
 
+    def test_record_ceiling_returns_a_flat_block_start(self, tmp_path):
+        n = 2**53
+        cfg = config_file(tmp_path, {"workload.total_records": str(n)})
+        done = run_cli("recommend", cfg, "--budget-bytes", "1000000")
+        assert done.returncode == EXIT_OK, done.stderr
+        threshold = json.loads(done.stdout.split("\n\n", 1)[0])["threshold_f"]
+        trips = round_trips(n, threshold)
+        assert round_trips(n, threshold - 1) > trips
+        assert round_trips(n, threshold + 50) == trips
+
+    def test_zero_run_longer_than_any_block_returns_n(self):
+        done = run_cli("recommend", "baseline.cfg", "--budget-bytes", "1000000",
+                       "--zero-run", "100000000000")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(done.stdout.split("\n\n", 1)[0])["threshold_f"] == 502
+
     @pytest.mark.parametrize("flags, named", [
         (["--budget-bytes", "0"], "--budget-bytes"),
         (["--budget-bytes=-5"], "--budget-bytes"),
@@ -450,6 +489,37 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error: network.bandwidth_bytes_per_ms:") == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "recommend"])
+    @pytest.mark.parametrize("bandwidth", ["1e-306", "1e-302"])
+    def test_whole_set_transport_overflow_names_bandwidth(self, tmp_path, capsys,
+                                                          bandwidth, command):
+        # One hop's per-byte time is finite, but moving all 502 records is not.
+        cfg = config_file(tmp_path, {"network.bandwidth_bytes_per_ms": bandwidth})
+        assert cli.main(command_args(tmp_path, command, cfg)) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: network.bandwidth_bytes_per_ms:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("network.base_latency_ms", "1e308"),  # each hop finite, the two-hop sum is not
+        ("workload.field_bytes", f"{2**53},1"),  # past float64's exact integers
+    ])
+    def test_sums_past_float64_name_their_key(self, tmp_path, capsys, key, value):
+        rc, _, _ = simulate(tmp_path, config_file(tmp_path, {key: value}))
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "sweep_quantized",
+                                         "sweep_reciprocal", "recommend"])
+    def test_elapsed_total_overflow_exit_model(self, tmp_path, capsys, command):
+        # Every trip is finite (1e307 ms of search), but no run total is.
+        cfg = config_file(tmp_path, {"server.per_record_search_ms": "1e306"})
+        assert cli.main(command_args(tmp_path, command, cfg)) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert "inf" not in captured.out
+        assert captured.err.startswith("error: elapsed time overflows float64")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output file
 
     def test_readme_key_table_matches_key_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

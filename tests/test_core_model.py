@@ -113,6 +113,13 @@ class TestQuantizedCost:
         assert quantized_cost(FetchPlan(10, 500), k) == 0.0
         assert quantized_cost(FetchPlan(10, 502), k) == 7.0 + 3.0 * 2
 
+    def test_overflowing_total_is_an_error_not_inf(self):
+        k = CostConstants(1e307, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            quantized_cost(FetchPlan(10, 502), k)
+        with pytest.raises(ValueError, match="overflows"):
+            reciprocal_cost(502, 10, 1e307)
+
 
 class TestReciprocalCost:
     def test_hyperbola_values(self):
@@ -209,6 +216,12 @@ class TestTypes:
         with pytest.raises(FieldError) as exc:
             WorkloadSpec(2**53 + 1, (8,))
         assert exc.value.field == "total_records"
+
+    def test_workload_record_bytes_capped_at_2_53(self):
+        assert WorkloadSpec(5, (2**53 - 1, 1)).record_bytes == 2**53
+        with pytest.raises(FieldError) as exc:
+            WorkloadSpec(5, (2**53, 1))
+        assert exc.value.field == "field_byte_sizes"
 
     def test_workload_record_bytes(self):
         assert WorkloadSpec(502, (50, 4000, 8, 16)).record_bytes == 4074

@@ -161,6 +161,13 @@ class TestSimulateFetch:
         with pytest.raises(ValueError):
             simulate_fetch(WIDE, WAN, SERVER, DRIVER, jitter=1.5)
 
+    @pytest.mark.parametrize("jitter", [0.0, 1.0])
+    def test_rejects_a_total_past_float64(self, jitter):
+        # Each trip's 1e307 ms is finite; 51 of them are not.
+        slow = ServerSpec(per_record_search=1e306)
+        with pytest.raises(ValueError, match="overflows"):
+            simulate_fetch(WIDE, WAN, slow, DRIVER, seed=1, jitter=jitter)
+
 
 class TestJitter:
     def test_zero_jitter_is_reproducible(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rowfetch.core_model import CostConstants, round_trips, trip_decrease_per_unit_f
 from rowfetch.tuner import (
@@ -63,6 +64,17 @@ class TestThresholdPrefetch:
     def test_rejects_empty_workload(self):
         with pytest.raises(ValueError):
             threshold_prefetch(0)
+
+    @given(st.integers(1, 3000), st.integers(1, 200))
+    def test_block_walk_matches_per_size_scan(self, n, zero_run):
+        threshold = threshold_prefetch(n, zero_run=zero_run)
+        assert threshold == brute_force_threshold(n, zero_run)
+        assert optimal_prefetch(n, threshold) == threshold
+
+    @pytest.mark.parametrize("n,expected", [(10**6, 7143), (10**8, 70922),
+                                            (10**10, 707614)])
+    def test_large_workloads(self, n, expected):
+        assert threshold_prefetch(n) == expected
 
 
 class TestOptimalPrefetch:
