@@ -25,10 +25,9 @@ and a simulation costs O(trips), not O(rows).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -128,6 +127,18 @@ class TripRecord:
                 + self.transport_ms + self.convert_ms)
 
 
+# Trip columns become Python numbers this many trips at a time, and one
+# trip's zero rows become CSV text this many rows at a time, so reading a
+# trace row by row holds O(_BLOCK) objects whatever n and f are.
+_BLOCK = 1 << 13
+
+
+def _in_blocks(*columns: np.ndarray) -> Iterator[tuple]:
+    """Zip equal-length numpy columns as Python numbers, _BLOCK entries at a time."""
+    for lo in range(0, len(columns[0]), _BLOCK):
+        yield from zip(*(column[lo:lo + _BLOCK].tolist() for column in columns))
+
+
 @dataclass(frozen=True, eq=False)
 class LatencyTrace:
     """A simulated fetch, stored as the trip columns its per-row times come from.
@@ -155,7 +166,8 @@ class LatencyTrace:
 
     def _trip_rows(self) -> Iterator[tuple]:
         # (trip_index, records, r, e, a, t, c) as Python numbers.
-        return zip(count(1), self.records.tolist(), *self.components.T.tolist())
+        return _in_blocks(np.arange(1, len(self.records) + 1), self.records,
+                          *self.components.T)
 
     @property
     def trip_log(self) -> tuple[TripRecord, ...]:
@@ -165,7 +177,7 @@ class LatencyTrace:
     def iter_samples(self) -> Iterator[tuple[int, float]]:
         """Yield (row_index, elapsed_ms) for every row, row indices from 1."""
         row = 1
-        for records, total in zip(self.records.tolist(), self._totals().tolist()):
+        for records, total in _in_blocks(self.records, self._totals()):
             yield row, (total if row > 1 else 0.0)
             yield from zip(range(row + 1, row + records), repeat(0.0))
             row += records
@@ -308,17 +320,34 @@ TRACE_HEADER = ("row_index", "elapsed_ms")
 TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 
 
+def _trace_blocks(trace: LatencyTrace) -> Iterator[str]:
+    """The trace CSV body as text blocks of at most _BLOCK rows.
+
+    Each trip gives its first row, carrying the trip total (0.0 on row 1,
+    whose trip the execute call pays), then its zero rows joined as one
+    block, so no row is formatted on its own.
+    """
+    row = 1
+    for records, total in _in_blocks(trace.records, trace._totals()):
+        yield f"{row},{total if row > 1 else 0.0!r}\r\n"
+        end = row + records
+        for start in range(row + 1, end, _BLOCK):
+            zeros = range(start, min(start + _BLOCK, end))
+            yield ",0.0\r\n".join(map(str, zeros)) + ",0.0\r\n"
+        row = end
+
+
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
     """Write the per-row samples and the trip component log as CSV.
 
-    The samples are streamed from the trip columns, never held in
-    memory.  csv writes a float as its repr, so values round-trip.
+    Both files have a header line, comma-separated fields and \\r\\n line
+    ends, and write each float as its repr, so values round-trip.  The
+    samples are formatted from the trip columns a block at a time, never
+    held in memory whole.
     """
     with open(samples_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(trace.iter_samples())
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.writelines(_trace_blocks(trace))
     with open(trips_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIP_HEADER)
-        writer.writerows(trace._trip_rows())
+        fh.write(",".join(TRIP_HEADER) + "\r\n")
+        fh.writelines("%d,%d,%r,%r,%r,%r,%r\r\n" % trip for trip in trace._trip_rows())

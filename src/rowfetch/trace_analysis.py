@@ -29,7 +29,8 @@ rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
 The median, mean and population stdev are computed in float64; only the
-mean over the peak rows (avg_trip_time) is exact, as statistics.mean.
+mean over the peak rows (avg_trip_time) is exact: the exact sum divided by
+the count with one rounding, bit for bit what statistics.mean returns.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from statistics import mean
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,7 +123,30 @@ def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | 
     rows = rows[(rows >= 1) & (rows <= len(samples))]
     if len(rows) == 0:
         return None
-    return mean(samples[rows - 1, 1].tolist())
+    return _exact_mean(samples[rows - 1, 1])
+
+
+def _exact_mean(values: np.ndarray) -> float:
+    """The mean of finite float64 values, rounded once from the exact sum.
+
+    Each value is m * 2**(e - 53) with m an integer, |m| < 2**53 (frexp).
+    The m are summed per exponent e as 26-bit halves, so no int64 sum
+    overflows below 2**36 values; the per-exponent sums are combined as
+    Python ints and divided by the count in one correctly rounded step.
+    """
+    fractions, exponents = np.frexp(values)
+    fractions *= 2.0**53
+    mantissas = fractions.astype(np.int64)
+    base = int(exponents.min())
+    exponents -= base
+    high = np.zeros(int(exponents.max()) + 1, dtype=np.int64)
+    low = np.zeros_like(high)
+    np.add.at(high, exponents, mantissas >> 26)
+    np.add.at(low, exponents, mantissas & (2**26 - 1))
+    total = sum(((h << 26) + lo) << e
+                for e, (h, lo) in enumerate(zip(high.tolist(), low.tolist())))
+    shift = base - 53  # the mean is total * 2**shift / len(values)
+    return (total << max(shift, 0)) / (len(values) << max(-shift, 0))
 
 
 def analyze_trace(

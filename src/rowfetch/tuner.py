@@ -134,6 +134,9 @@ def recommend(
 
 def render_recommendation(n: int, rec: Recommendation, budget: MemoryBudget) -> str:
     """Human-readable advisory block for a tuning result."""
+    # Fixed point would print a finite but huge prediction digit by digit.
+    ms = rec.predicted_elapsed
+    benefit = f"{ms:.1f}" if ms < 1e15 else f"{ms:.6g}"
     lines = [
         f"bottleneck        : {n} records cross the network in "
         f"{rec.round_trips_at_optimal}+ round trips; small prefetch sizes pay per trip",
@@ -141,7 +144,7 @@ def render_recommendation(n: int, rec: Recommendation, budget: MemoryBudget) -> 
         f"(trip count is flat from {rec.threshold_f})",
         f"tradeoff          : client prefetch cache grows to {rec.memory_at_optimal} "
         f"bytes of the {budget.max_bytes}-byte budget",
-        f"estimated benefit : about {rec.predicted_elapsed:.1f} ms of transport at "
+        f"estimated benefit : about {benefit} ms of transport at "
         f"{rec.round_trips_at_optimal} round trips",
     ]
     if not rec.memory_ok:

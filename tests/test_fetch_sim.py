@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 import random
 import tempfile
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rowfetch import fetch_sim
 from rowfetch.core_model import FetchPlan, WorkloadSpec, quantized_cost, round_trips
 from rowfetch.fetch_sim import (
     DriverSpec,
@@ -43,6 +46,18 @@ def dense_samples(trace):
     for i, trip in enumerate(trace.trip_log[1:], start=2):
         elapsed[(i - 1) * trace.effective_prefetch] = trip.total_ms
     return tuple((row + 1, ms) for row, ms in enumerate(elapsed))
+
+
+def reference_csv(trace, samples_path, trips_path):
+    """Reference writer: csv.writer over iter_samples() and the trip log, row by row."""
+    with open(samples_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("row_index", "elapsed_ms"))
+        writer.writerows(trace.iter_samples())
+    with open(trips_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms"))
+        writer.writerows(dataclasses.astuple(trip) for trip in trace.trip_log)
 
 
 class TestEffectivePrefetch:
@@ -292,6 +307,37 @@ class TestTraceCsv:
                 == "trip_index,records,r_ms,e_ms,a_ms,t_ms,c_ms")
         assert len(paths[0][0].read_text().splitlines()) == 503
         assert len(paths[0][1].read_text().splitlines()) == 52
+
+    # Several blocks: one trip's zero rows, and the trip columns, each span
+    # more than one block.
+    BLOCKS = 3 * fetch_sim._BLOCK + 5
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("n,f", [(0, 10), (7, 10), (10, 10), (500, 10), (502, 10),
+                                     (300, 1), (37, 10**6), (BLOCKS, 2 * fetch_sim._BLOCK + 3),
+                                     (BLOCKS, 3)])
+    def test_bytes_match_row_by_row_csv_writer(self, tmp_path, n, f, jitter):
+        driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+        trace = simulate_fetch(WorkloadSpec(n, WIDE.field_byte_sizes), WAN, SERVER, driver,
+                               seed=11, jitter=jitter)
+        write_trace_csv(trace, tmp_path / "t.csv", tmp_path / "t_trips.csv")
+        reference_csv(trace, tmp_path / "r.csv", tmp_path / "r_trips.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert (tmp_path / "t_trips.csv").read_bytes() == (tmp_path / "r_trips.csv").read_bytes()
+
+    def test_write_memory_is_bounded_by_a_block(self, tmp_path):
+        # A 3.6 MB trace of 3e5 rows and 3e4 trips: the writer may hold a
+        # block of text and of trip values at a time, never the whole file
+        # or every trip as Python numbers (about 6 MB here).
+        w = WorkloadSpec(300_000, WIDE.field_byte_sizes)
+        trace = simulate_fetch(w, WAN, SERVER, DRIVER, seed=1, jitter=0.1)
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / "t.csv", tmp_path / "t_trips.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20 < (tmp_path / "t.csv").stat().st_size
 
 
 # Any integer is a valid run seed; the simulator reduces it to a Philox key.

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rowfetch.core_model import FetchPlan, FieldError, WorkloadSpec, quantized_cost
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch
@@ -134,12 +135,42 @@ class TestDegenerateDesigns:
         assert k.k1 == pytest.approx(250.0, rel=0.05)
 
 
+def assert_kkt(n, sizes, y, result):
+    """The fit is the exact non-negative least-squares optimum x.
+
+    With gradient g = A^T (A x - y): x >= 0, every g_i >= 0, and g_i = 0
+    wherever x_i > 0.
+    """
+    k = result.constants
+    x = np.array([k.k1, k.k2, k.k3, k.k4])
+    design = np.array([[n // f, f, 1.0 if n % f else 0.0, n % f] for f in sizes])
+    if result.unidentifiable:
+        design, x = design[:, :2], x[:2]
+    grad = design.T @ (design @ x - np.asarray(y))
+    tol = 1e-9 * np.linalg.norm(design) * np.linalg.norm(y)
+    assert (x >= 0).all()
+    assert (grad >= -tol).all(), (n, sizes)
+    assert (np.abs(grad[x > 0]) <= tol).all(), (n, sizes)
+
+
+@st.composite
+def designs(draw):
+    """(n, sorted distinct sizes, elapsed per size) for one fit.
+
+    Elapsed times are 0 or at least 1 us: below that, squares in the
+    tolerance's norms underflow and the check, not the fit, loses precision.
+    """
+    n = draw(st.integers(4, 5000))
+    sizes = sorted(draw(st.sets(st.integers(1, n), min_size=4, max_size=10)))
+    elapsed = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+    y = draw(st.lists(elapsed, min_size=len(sizes), max_size=len(sizes)))
+    return n, sizes, y
+
+
 class TestNonNegativeOptimum:
     def test_kkt_conditions_on_random_designs(self):
-        # The fit must be the exact non-negative least-squares optimum x:
-        # with gradient g = A^T (A x - y), every g_i >= 0, and g_i = 0
-        # wherever x_i > 0.  A greedy drop-the-most-negative pass breaks
-        # this on about a fifth of these designs.
+        # A greedy drop-the-most-negative pass breaks the KKT conditions
+        # on about a fifth of these designs.
         rng = np.random.default_rng(1974)
         checked = 0
         for _ in range(200):
@@ -150,18 +181,19 @@ class TestNonNegativeOptimum:
                 result = fit_cost_model([FitSample(f, float(v), n) for f, v in zip(sizes, y)])
             except FitError:
                 continue
-            k = result.constants
-            x = np.array([k.k1, k.k2, k.k3, k.k4])
-            design = np.array([[n // f, f, 1.0 if n % f else 0.0, n % f] for f in sizes])
-            if result.unidentifiable:
-                design, x = design[:, :2], x[:2]
-            grad = design.T @ (design @ x - y)
-            tol = 1e-9 * np.linalg.norm(design) * np.linalg.norm(y)
-            assert (x >= 0).all()
-            assert (grad >= -tol).all(), (n, sizes)
-            assert (np.abs(grad[x > 0]) <= tol).all(), (n, sizes)
+            assert_kkt(n, sizes, y, result)
             checked += 1
         assert checked > 150
+
+    @settings(deadline=None)
+    @given(designs())
+    def test_kkt_conditions_hold_on_generated_designs(self, design):
+        n, sizes, y = design
+        try:
+            result = fit_cost_model([FitSample(f, v, n) for f, v in zip(sizes, y)])
+        except FitError:
+            assume(False)  # exactly collinear columns: no optimum to check
+        assert_kkt(n, sizes, y, result)
 
 
 class TestSimulatorDrivenFits:

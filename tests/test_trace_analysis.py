@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 import statistics
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rowfetch.core_model import FieldError, WorkloadSpec, round_trips
 from rowfetch.fetch_sim import (
@@ -29,6 +31,7 @@ from rowfetch.trace_analysis import (
     read_trace_samples,
 )
 
+DBL_MAX = sys.float_info.max
 NET = NetworkSpec.uniform(2, 600.0, 150.0, 0.9)
 SERVER = ServerSpec(hard_parse=40.0, soft_parse=3.0, per_record_search=0.05,
                     server_cache_size=100, disk_access_per_refill=12.0)
@@ -115,6 +118,18 @@ class TestDetectPeaks:
         for factor in (0.001, 7.0, 1000.0):
             scaled = [(r, ms * factor) for r, ms in base]
             assert detect_peaks(scaled) == rows
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(0.5, 2.0)),
+                    max_size=200),
+           st.integers(-20, 20), st.floats(0.0, 100.0), st.floats(0.0, 10.0))
+    def test_power_of_two_scaling_keeps_the_rows(self, values, k, median_ratio, sigma_k):
+        # While values and their squared deviations stay normal floats, a
+        # power-of-two factor scales every statistic exactly, so the same
+        # rows must come back, bit for bit and not just approximately.
+        samples = list(enumerate(values, start=1))
+        scaled = [(row, ms * 2.0**k) for row, ms in samples]
+        knobs = {"median_ratio": median_ratio, "sigma_k": sigma_k}
+        assert detect_peaks(scaled, **knobs) == detect_peaks(samples, **knobs)
 
     def test_threshold_knobs_are_live(self):
         # One modest bump over a noisy floor: invisible at the default
@@ -247,6 +262,17 @@ class TestAvgTripTime:
 
     def test_no_peaks_gives_none(self):
         assert avg_trip_time_from_trace(synthetic(10, {}), []) is None
+
+    @example([DBL_MAX] * 3)  # the sum overflows float64; the mean does not
+    @example([DBL_MAX, -DBL_MAX, 5e-324, -0.0])
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([0.0, -0.0, 5e-324, -5e-324, DBL_MAX, -DBL_MAX]),
+                              st.floats(1e307, DBL_MAX)),
+                    min_size=1, max_size=60))
+    def test_mean_is_statistics_mean_bit_for_bit(self, values):
+        samples = list(enumerate(values, start=1))
+        got = avg_trip_time_from_trace(samples, range(1, len(values) + 1))
+        assert got.hex() == statistics.mean(values).hex()
 
 
 class TestOnSimulatedTraces:

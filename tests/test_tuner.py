@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -162,6 +164,17 @@ class TestRecommend:
         for label in ("bottleneck", "change", "tradeoff", "estimated benefit"):
             assert label in text
         assert "168" in text
+
+    def test_huge_prediction_prints_in_exponent_form(self):
+        budget = MemoryBudget(1_000_000, 4074)
+        rec = replace(recommend(502, budget, FLAT_K), predicted_elapsed=6e307)
+        line = render_recommendation(502, rec, budget).splitlines()[3]
+        assert line == "estimated benefit : about 6e+307 ms of transport at 3 round trips"
+
+    def test_ordinary_prediction_keeps_one_decimal(self):
+        budget = MemoryBudget(1_000_000, 4074)
+        rec = replace(recommend(502, budget, FLAT_K), predicted_elapsed=8675.602222222222)
+        assert "about 8675.6 ms of transport" in render_recommendation(502, rec, budget)
 
     def test_capped_text_notes_the_cap(self):
         budget = MemoryBudget(400_000, 4000)
