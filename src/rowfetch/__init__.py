@@ -45,7 +45,6 @@ from .model_fit import (
     FitResult,
     FitSample,
     fit_cost_model,
-    fit_trip_cost_vs_hops,
     read_fit_samples,
     write_fit_samples,
 )

@@ -109,6 +109,7 @@ def cmd_sweep(args) -> int:
                                              seed=cfg.seed, jitter=cfg.jitter)
             elapsed.append(trace.total_elapsed_ms)
             trips.append(len(trace.records))
+            del trace  # free it before the next size's trace is built
     else:
         # Theoretical curves are drawn with constants calibrated once at
         # the driver's size in force, then swept across f.

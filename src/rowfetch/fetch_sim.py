@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -128,8 +127,8 @@ class TripRecord:
 
 
 # Trip columns become Python numbers this many trips at a time, and one
-# trip's zero rows become CSV text this many rows at a time, so reading a
-# trace row by row holds O(_BLOCK) objects whatever n and f are.
+# trip's zero rows become CSV text this many rows at a time, so writing a
+# trace or its trip log holds O(_BLOCK) objects whatever n and f are.
 _BLOCK = 1 << 13
 
 
@@ -145,59 +144,55 @@ class LatencyTrace:
 
     records is the int64 column of batch sizes and components the float64
     (trips, 5) block of r, e, a, t, c times in ms; row i-1 is trip i.
-    Trip i's whole cost lands on row (i-1)*f+1, the first row of its
-    batch; every other row costs 0.0.  The first trip's cost is carried
-    by the execute call rather than any row, so conservation reads:
+    totals is the per-trip total column and total_elapsed_ms its fsum,
+    both computed once by simulate_fetch.  Trip i's whole cost lands on
+    row (i-1)*f+1, the first row of its batch; every other row costs 0.0.
+    The first trip's cost is carried by the execute call rather than any
+    row, so conservation reads:
 
-        fsum(sample values) + execution_call_ms == fsum(trip totals)
-
-    Built on request: iter_samples() streams the per-row samples, samples
-    materializes all n of them, and trip_log builds the TripRecords.
+        fsum(sample values and execution_call_ms) == total_elapsed_ms
     """
 
     records: np.ndarray
     components: np.ndarray
     effective_prefetch: int
     total_records: int
-
-    def _totals(self) -> np.ndarray:
-        r, e, a, t, c = self.components.T
-        return r + e + a + t + c  # TripRecord.total_ms, same order
+    totals: np.ndarray
+    total_elapsed_ms: float
 
     def _trip_rows(self) -> Iterator[tuple]:
         # (trip_index, records, r, e, a, t, c) as Python numbers.
         return _in_blocks(np.arange(1, len(self.records) + 1), self.records,
                           *self.components.T)
 
+    def _first_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        # Each batch's first row, from 1, and the time it shows: its trip's
+        # total, but 0.0 on row 1, whose trip the execute call pays.
+        rows = np.cumsum(self.records) - self.records + 1
+        shown = self.totals.copy()
+        shown[:1] = 0.0
+        return rows, shown
+
     @property
     def trip_log(self) -> tuple[TripRecord, ...]:
         """One TripRecord per trip, built each time it is read."""
         return tuple(TripRecord(*row) for row in self._trip_rows())
 
-    def iter_samples(self) -> Iterator[tuple[int, float]]:
-        """Yield (row_index, elapsed_ms) for every row, row indices from 1."""
-        row = 1
-        for records, total in _in_blocks(self.records, self._totals()):
-            yield row, (total if row > 1 else 0.0)
-            yield from zip(range(row + 1, row + records), repeat(0.0))
-            row += records
-
     @property
-    def samples(self) -> tuple[tuple[int, float], ...]:
-        """Every (row_index, elapsed_ms) pair, all n of them."""
-        return tuple(self.iter_samples())
+    def samples(self) -> np.ndarray:
+        """Every (row_index, elapsed_ms) row, as the (n, 2) float64 array
+        read_trace_samples returns for this trace's CSV; built each time
+        it is read."""
+        samples = np.zeros((self.total_records, 2))
+        samples[:, 0] = np.arange(1, self.total_records + 1)
+        rows, shown = self._first_rows()
+        samples[rows - 1, 1] = shown
+        return samples
 
     @property
     def execution_call_ms(self) -> float:
         """Wall time of the execute call (the whole first trip)."""
-        return (self._totals().tolist() or [0.0])[0]
-
-    @property
-    def total_elapsed_ms(self) -> float:
-        try:
-            return math.fsum(self._totals().tolist())
-        except OverflowError:  # finite trips whose sum leaves float64
-            return math.inf
+        return self.totals[0].item() if len(self.totals) else 0.0
 
 
 def effective_prefetch(driver: DriverSpec) -> int:
@@ -265,10 +260,15 @@ def simulate_fetch(
     if jitter:
         stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
         block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
-    records.flags.writeable = block.flags.writeable = False
-    trace = LatencyTrace(records, block, f, n)
-    checked_total(trace.total_elapsed_ms)  # every printed time is then finite
-    return trace
+    r, e, a, t, c = block.T
+    totals = r + e + a + t + c  # TripRecord.total_ms, same order
+    try:
+        total = math.fsum(totals.tolist())
+    except OverflowError:  # finite trips whose sum leaves float64
+        total = math.inf
+    checked_total(total)  # every printed time is then finite
+    records.flags.writeable = block.flags.writeable = totals.flags.writeable = False
+    return LatencyTrace(records, block, f, n, totals, total)
 
 
 def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:
@@ -323,18 +323,15 @@ TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 def _trace_blocks(trace: LatencyTrace) -> Iterator[str]:
     """The trace CSV body as text blocks of at most _BLOCK rows.
 
-    Each trip gives its first row, carrying the trip total (0.0 on row 1,
-    whose trip the execute call pays), then its zero rows joined as one
-    block, so no row is formatted on its own.
+    Each trip gives its first row, as _first_rows shows it, then its zero
+    rows joined as one block, so no row is formatted on its own.
     """
-    row = 1
-    for records, total in _in_blocks(trace.records, trace._totals()):
-        yield f"{row},{total if row > 1 else 0.0!r}\r\n"
+    for row, value, records in _in_blocks(*trace._first_rows(), trace.records):
+        yield f"{row},{value!r}\r\n"
         end = row + records
         for start in range(row + 1, end, _BLOCK):
             zeros = range(start, min(start + _BLOCK, end))
             yield ",0.0\r\n".join(map(str, zeros)) + ",0.0\r\n"
-        row = end
 
 
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:

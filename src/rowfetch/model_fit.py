@@ -102,7 +102,15 @@ def _solve_nonnegative(design: np.ndarray, y: np.ndarray) -> np.ndarray:
                 if size == width:  # already non-negative: keep it bit for bit
                     return coef
                 feasible.append(coef)
-    return min(feasible, key=lambda coef: float(np.sum((design @ coef - y) ** 2)))
+    return min(feasible, key=lambda coef: _rms(design @ coef - y))
+
+
+def _rms(residuals: np.ndarray) -> float:
+    """Root mean square, finite for finite residuals: they are squared after
+    an exact scaling by the power of two that brings the largest into [0.5, 1)."""
+    exponent = int(np.frexp(np.abs(residuals).max())[1])
+    scaled = np.ldexp(residuals, -exponent)
+    return float(np.ldexp(np.sqrt(np.mean(scaled ** 2)), exponent))
 
 
 def fit_cost_model(samples: list[FitSample]) -> FitResult:
@@ -141,22 +149,12 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
         warnings.append(f"ill-conditioned design matrix (condition {condition:.3g})")
 
     coef = _solve_nonnegative(design, y)
-    residual_rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    residual_rms = _rms(design @ coef - y)
     k = np.zeros(4)
     k[: len(coef)] = coef
     constants = CostConstants(k[0], k[1], k[2], k[3])
     return FitResult(constants, residual_rms, len(samples), condition_warning,
                      tuple(warnings), unidentifiable)
-
-
-def fit_trip_cost_vs_hops(points: list[tuple[int, float]]) -> tuple[float, float]:
-    """Fit k1 = slope * hops + intercept through (hop_count, k1) points."""
-    if len({h for h, _ in points}) < 2:
-        raise FitError("need k1 at two or more distinct hop counts")
-    hops = np.array([h for h, _ in points], dtype=float)
-    k1 = np.array([v for _, v in points], dtype=float)
-    slope, intercept = np.polyfit(hops, k1, 1)
-    return float(slope), float(intercept)
 
 
 _N_COMMENT = re.compile(r"#\s*N\s*=\s*(\d+)\s*$")

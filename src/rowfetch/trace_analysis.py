@@ -28,9 +28,10 @@ analysis functions accept that array or any sequence of pairs.  One
 rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
-The median, mean and population stdev are computed in float64; only the
-mean over the peak rows (avg_trip_time) is exact: the exact sum divided by
-the count with one rounding, bit for bit what statistics.mean returns.
+The median, mean and population stdev are computed in float64, on the
+values scaled by a power of two when they would over- or underflow; only
+the mean over the peak rows (avg_trip_time) is exact: the exact sum divided
+by the count with one rounding, bit for bit what statistics.mean returns.
 """
 
 from __future__ import annotations
@@ -87,22 +88,39 @@ def detect_peaks(
     if np.count_nonzero(values == 0.0) > len(values) / 2:
         # Degenerate statistics: the cache-hit floor dominates, so any
         # row that cost anything at all belongs to a trip.
-        threshold = 0.0
+        peaks = values > 0.0
     else:
-        threshold = max(median_ratio * np.median(values),
-                        values.mean() + sigma_k * values.std())
-    return (np.flatnonzero(values > threshold) + 1).tolist()
+        peaks = _above_threshold(values, median_ratio, sigma_k)
+    return (np.flatnonzero(peaks) + 1).tolist()
 
 
-def infer_effective_prefetch(peaks: Sequence[int], first_row: int = 1) -> PeakReport:
+def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) -> np.ndarray:
+    """Mask of the values above max(median_ratio * median, mean + sigma_k * stdev).
+
+    Where a statistic would over- or underflow, all are redone on the values
+    scaled exactly by the power of two that brings the largest into [0.5, 1).
+    """
+    def threshold(values):
+        return max(median_ratio * np.median(values), values.mean() + sigma_k * values.std())
+
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return values > threshold(values)
+    except FloatingPointError:
+        scaled = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+        with np.errstate(all="ignore"):
+            return scaled > threshold(scaled)
+
+
+def infer_effective_prefetch(peaks: Sequence[int]) -> PeakReport:
     """Estimate the batch size from peak spacing.
 
     The estimate is the modal inter-peak gap, ties broken toward the
     smallest candidate (understating f overstates trips, the safer
     error).  Confidence is the fraction of evidence agreeing with the
     mode, where the evidence is every gap plus the offset of the first
-    peak from first_row (a batch's first blocking row sits one batch
-    past the start, so that offset should equal the gap).
+    peak from row 1 (a batch's first blocking row sits one batch past
+    the start, so that offset should equal the gap).
     """
     rows = sorted(peaks)
     gaps = tuple(b - a for a, b in zip(rows, rows[1:]))
@@ -111,7 +129,7 @@ def infer_effective_prefetch(peaks: Sequence[int], first_row: int = 1) -> PeakRe
     counts = Counter(gaps)
     top = max(counts.values())
     modal = min(g for g, c in counts.items() if c == top)
-    evidence = list(gaps) + [rows[0] - first_row]
+    evidence = list(gaps) + [rows[0] - 1]
     confidence = sum(1 for g in evidence if g == modal) / len(evidence)
     return PeakReport(tuple(rows), modal, gaps, None, confidence)
 

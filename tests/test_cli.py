@@ -7,6 +7,7 @@ exit code, the printed summary, and the artifacts on disk.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -200,6 +201,19 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.count(f"error: {flag}:") == 2
 
+    def test_trace_near_float64_top(self, tmp_path):
+        # Finite rows, but the mean's sum overflows float64 at this scale.
+        path = tmp_path / "top.csv"
+        path.write_text("row_index,elapsed_ms\n" + "".join(
+            f"{row},{(1000.0 if row in (37, 74) else 1.0) * 2.0**1014!r}\n"
+            for row in range(1, 75)))
+        done = run_cli("analyze", str(path))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        report = json.loads(done.stdout)
+        assert report["peak_rows"] == [37, 74]
+        assert report["inferred_prefetch"] == 37
+        assert report["confidence"] == 0.5
+
     def test_missing_file(self, tmp_path, capsys):
         rc = cli.main(["analyze", str(tmp_path / "nope.csv")])
         assert rc == EXIT_INPUT
@@ -314,6 +328,22 @@ class TestFit:
         assert result["k4"] == pytest.approx(0.4, rel=1e-6)
         assert result["sample_count"] == 7
         assert result["condition_warning"] is False
+
+    def test_samples_near_float64_top_print_strict_json(self, tmp_path):
+        # The README's samples times 2**1000: squared residuals overflow.
+        readme = ((5, 46136.4), (10, 23236.4), (25, 9496.4), (60, 4304.4),
+                  (100, 2626.4), (150, 2470.4), (168, 3745.2))
+        path = tmp_path / "samples.csv"
+        path.write_text("# N=502\nf,elapsed_ms\n" + "".join(
+            f"{f},{ms * 2.0**1000!r}\n" for f, ms in readme))
+        done = run_cli("fit", str(path))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = json.loads(done.stdout, parse_constant=reject)
+        assert math.isfinite(result["residual_rms"])
 
     def test_collinear_samples_exit_model(self, tmp_path, capsys):
         # 10, 25, 50, 100 all leave residual 2 against 502, so the

@@ -45,15 +45,15 @@ def dense_samples(trace):
     elapsed = [0.0] * trace.total_records
     for i, trip in enumerate(trace.trip_log[1:], start=2):
         elapsed[(i - 1) * trace.effective_prefetch] = trip.total_ms
-    return tuple((row + 1, ms) for row, ms in enumerate(elapsed))
+    return [[row + 1, ms] for row, ms in enumerate(elapsed)]
 
 
 def reference_csv(trace, samples_path, trips_path):
-    """Reference writer: csv.writer over iter_samples() and the trip log, row by row."""
+    """Reference writer: csv.writer over dense_samples() and the trip log, row by row."""
     with open(samples_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("row_index", "elapsed_ms"))
-        writer.writerows(trace.iter_samples())
+        writer.writerows(dense_samples(trace))
     with open(trips_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms"))
@@ -163,7 +163,7 @@ class TestSimulateFetch:
     def test_empty_workload_empty_trace(self):
         w = WorkloadSpec(0, (100,))
         trace = simulate_fetch(w, WAN, SERVER, DRIVER)
-        assert trace.samples == ()
+        assert trace.samples.shape == (0, 2)
         assert trace.trip_log == ()
         assert trace.total_elapsed_ms == 0.0
         assert stage_breakdown(trace) == (0.0, 0.0)
@@ -223,7 +223,7 @@ class TestSamplesFromTripLog:
     def test_samples_match_dense_reference(self, n, f, jitter):
         d = DriverSpec(enforced_prefetch=f, request_overhead=1.0)
         trace = simulate_fetch(WorkloadSpec(n, (100,)), WAN, SERVER, d, seed=11, jitter=jitter)
-        assert trace.samples == dense_samples(trace)
+        assert trace.samples.tolist() == dense_samples(trace)
 
     def test_simulation_memory_is_o_trips(self):
         # Two trips over two million rows: nothing may be allocated per row.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from rowfetch.model_fit import (
     FitError,
     FitSample,
     SampleFormatError,
+    _rms,
     fit_cost_model,
-    fit_trip_cost_vs_hops,
     read_fit_samples,
     result_json,
     write_fit_samples,
@@ -196,6 +197,19 @@ class TestNonNegativeOptimum:
         assert_kkt(n, sizes, y, result)
 
 
+class TestResidualRms:
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30)),
+                    min_size=1, max_size=50))
+    def test_is_the_direct_formula_where_that_is_exact(self, residuals):
+        r = np.array(residuals)
+        assert _rms(r) == float(np.sqrt(np.mean(r**2)))
+
+    def test_stays_finite_at_float64s_top(self):
+        top = sys.float_info.max
+        assert _rms(np.array([top, -top, top])) == pytest.approx(top)
+        assert _rms(np.zeros(3)) == 0.0
+
+
 class TestSimulatorDrivenFits:
     @staticmethod
     def elapsed_at(f, net):
@@ -226,26 +240,6 @@ class TestSimulatorDrivenFits:
                        for f in (5, 10, 60, 100, 150)]
             k1[hops] = fit_cost_model(samples).constants.k1
         assert k1[2] / k1[1] == pytest.approx(2.0, abs=0.3)
-        slope, intercept = fit_trip_cost_vs_hops([(1, k1[1]), (2, k1[2])])
-        assert slope > 0
-        assert slope == pytest.approx(k1[2] - k1[1])
-        assert intercept == pytest.approx(2 * k1[1] - k1[2])
-
-
-class TestHopLine:
-    def test_recovers_line_through_three_points(self):
-        points = [(0, 7.0), (1, 207.0), (2, 407.0)]
-        slope, intercept = fit_trip_cost_vs_hops(points)
-        assert slope == pytest.approx(200.0)
-        assert intercept == pytest.approx(7.0)
-
-    def test_flat_line_when_hops_do_not_matter(self):
-        slope, _ = fit_trip_cost_vs_hops([(1, 300.0), (2, 300.0), (3, 300.0)])
-        assert slope == pytest.approx(0.0, abs=1e-9)
-
-    def test_single_hop_count_rejected(self):
-        with pytest.raises(FitError):
-            fit_trip_cost_vs_hops([(2, 100.0), (2, 110.0)])
 
 
 class TestSamplesCsv:

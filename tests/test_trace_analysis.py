@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 import statistics
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ def synthetic(n: int, peak_rows: dict[int, float], floor: float = 0.0):
     return [(row, peak_rows.get(row, floor)) for row in range(1, n + 1)]
 
 
-def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0, first_row=1):
+def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0):
     """The per-row tuple algorithm, with exact statistics-module arithmetic."""
     values = [ms for _, ms in samples]
     if max(values) == min(values):
@@ -58,7 +60,7 @@ def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0, first_row=1):
         threshold = max(median_ratio * statistics.median(values),
                         statistics.mean(values) + sigma_k * statistics.pstdev(values))
         peaks = [row for row, ms in samples if ms > threshold]
-    report = infer_effective_prefetch(peaks, first_row)
+    report = infer_effective_prefetch(peaks)
     wanted = set(peaks)
     peak_values = [ms for row, ms in samples if row in wanted]
     return replace(report, avg_trip_time=statistics.mean(peak_values) if peak_values else None)
@@ -121,15 +123,34 @@ class TestDetectPeaks:
 
     @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(0.5, 2.0)),
                     max_size=200),
-           st.integers(-20, 20), st.floats(0.0, 100.0), st.floats(0.0, 10.0))
+           st.integers(-689, 690), st.floats(0.0, 100.0), st.floats(0.0, 10.0))
+    @example([1.0e100, 1.0], 690, 10.0, 3.0)
+    @example([0.0, 2.0e-27], -437, 0.0, 1.0)  # the squared deviations underflow
     def test_power_of_two_scaling_keeps_the_rows(self, values, k, median_ratio, sigma_k):
-        # While values and their squared deviations stay normal floats, a
-        # power-of-two factor scales every statistic exactly, so the same
-        # rows must come back, bit for bit and not just approximately.
+        # A power-of-two factor scales every statistic exactly while the
+        # sums, squares and products stay normal floats.  Scaled values
+        # stay normal for every k here, up to 2**690 * 1e100 near float64's
+        # top and down to 2**-689 * 1e-100 near its bottom, but their
+        # statistics may over- or underflow; then they are redone at an
+        # exact other scale.  Either way the same rows must come back, bit
+        # for bit and not just approximately.
         samples = list(enumerate(values, start=1))
         scaled = [(row, ms * 2.0**k) for row, ms in samples]
         knobs = {"median_ratio": median_ratio, "sigma_k": sigma_k}
-        assert detect_peaks(scaled, **knobs) == detect_peaks(samples, **knobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detect_peaks(scaled, **knobs) == detect_peaks(samples, **knobs)
+
+    def test_peaks_survive_scaling_to_float64s_top(self):
+        # The mean's sum of this still finite trace overflows float64.
+        values = [1000.0 if row in (37, 74) else 1.0 for row in range(1, 75)]
+        top = [(row, ms * 2.0**1014) for row, ms in enumerate(values, start=1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze_trace(top)
+        assert report.peak_rows == (37, 74)
+        assert report.inferred_prefetch == 37
+        assert report.confidence == 0.5
 
     def test_threshold_knobs_are_live(self):
         # One modest bump over a noisy floor: invisible at the default
@@ -320,12 +341,18 @@ class TestOnSimulatedTraces:
 
 
 class TestTraceCsvReader:
-    def test_round_trip_through_file(self, tmp_path):
-        trace = simulated_trace(100, 10, seed=5, jitter=0.15)
-        samples_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, samples_path, tmp_path / "trips.csv")
-        loaded = read_trace_samples(samples_path)
-        assert loaded.tolist() == [list(pair) for pair in trace.samples]
+    @given(st.sampled_from([(0, 10), (7, 10), (37, 1), (5, 1000), (500, 10), (9000, 8200)]),
+           st.sampled_from([0.0, 0.3]), st.integers(0, 2**64))
+    def test_round_trip_through_file(self, shape, jitter, seed):
+        # n = 0, n < f, f = 1, f > n, and a trip whose zero rows span two
+        # writer blocks: the written file reads back as trace.samples.
+        trace = simulated_trace(*shape, seed=seed, jitter=jitter)
+        with tempfile.TemporaryDirectory() as tmp:
+            samples_path = Path(tmp) / "trace.csv"
+            write_trace_csv(trace, samples_path, Path(tmp) / "trips.csv")
+            loaded = read_trace_samples(samples_path)
+        assert trace.samples.dtype == loaded.dtype == np.float64
+        assert np.array_equal(loaded, trace.samples)
 
     def test_accepts_external_csv(self, tmp_path):
         path = tmp_path / "external.csv"
