@@ -20,7 +20,9 @@ so the same seed always reproduces the same trace bit for bit.
 
 A trace is stored as its trip columns alone.  Only trips - 1 of its n rows
 are nonzero, so the per-row samples are rebuilt from the columns on request
-and a simulation costs O(trips), not O(rows).
+and a simulation costs O(trips), not O(rows).  The trace CSV is written in
+blocks of rows, each built as one byte array from the row numbers and the
+repr of its few nonzero values.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ class TripRecord:
                 + self.transport_ms + self.convert_ms)
 
 
-# Trip columns become Python numbers this many trips at a time, and one
-# trip's zero rows become CSV text this many rows at a time, so writing a
-# trace or its trip log holds O(_BLOCK) objects whatever n and f are.
+# Trip columns become Python numbers this many trips at a time, and the
+# trace CSV is built as bytes this many rows at a time, so writing a trace
+# or its trip log holds O(_BLOCK) objects whatever n and f are.
 _BLOCK = 1 << 13
 
 
@@ -320,18 +322,45 @@ TRACE_HEADER = ("row_index", "elapsed_ms")
 TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 
 
-def _trace_blocks(trace: LatencyTrace) -> Iterator[str]:
-    """The trace CSV body as text blocks of at most _BLOCK rows.
+def _trace_blocks(trace: LatencyTrace) -> Iterator[np.ndarray]:
+    """The trace CSV body as uint8 arrays of at most _BLOCK rows each.
 
-    Each trip gives its first row, as _first_rows shows it, then its zero
-    rows joined as one block, so no row is formatted on its own.
+    Every row of block [lo, hi) is first laid down as row,0.0 with its
+    digits taken from the row numbers by integer arithmetic.  The block's
+    first rows, found by searchsorted, then get the repr of the value
+    _first_rows shows in place of 0.0, scattered in from one joined blob,
+    so no row is formatted on its own.
     """
-    for row, value, records in _in_blocks(*trace._first_rows(), trace.records):
-        yield f"{row},{value!r}\r\n"
-        end = row + records
-        for start in range(row + 1, end, _BLOCK):
-            zeros = range(start, min(start + _BLOCK, end))
-            yield ",0.0\r\n".join(map(str, zeros)) + ",0.0\r\n"
+    rows, shown = trace._first_rows()
+    n = trace.total_records
+    for lo in range(1, n + 1, _BLOCK):
+        index = np.arange(lo, min(lo + _BLOCK, n + 1))
+        a, b = np.searchsorted(rows, (lo, index[-1] + 1))
+        texts = list(map(repr, shown[a:b].tolist()))
+        sizes = np.fromiter(map(len, texts), np.int64, len(texts))
+        width = np.ones(len(index), dtype=np.int64)  # digits in the row number
+        power = 10
+        while power <= index[-1]:
+            width[max(power - lo, 0):] += 1
+            power *= 10
+        length = width + 6  # digits, ",0.0", "\r\n"
+        first = rows[a:b] - lo
+        length[first] += sizes - 3
+        end = np.cumsum(length)
+        comma = end - length + width
+        out = np.empty(end[-1], dtype=np.uint8)
+        for j in range(width[-1]):
+            has = slice(max(10**j - lo, 0), None)  # rows with more than j digits
+            out[comma[has] - 1 - j] = index[has] // 10**j % 10 + ord("0")
+        out[comma] = ord(",")
+        out[comma + 1] = out[comma + 3] = ord("0")
+        out[comma + 2] = ord(".")
+        out[end - 2] = ord("\r")
+        out[end - 1] = ord("\n")
+        blob = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        starts = np.cumsum(sizes) - sizes  # each text's offset in blob
+        out[np.repeat(comma[first] + 1 - starts, sizes) + np.arange(len(blob))] = blob
+        yield out
 
 
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
@@ -339,11 +368,11 @@ def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
 
     Both files have a header line, comma-separated fields and \\r\\n line
     ends, and write each float as its repr, so values round-trip.  The
-    samples are formatted from the trip columns a block at a time, never
-    held in memory whole.
+    samples are built as bytes from the trip columns _BLOCK rows at a
+    time, never held in memory whole.
     """
-    with open(samples_path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n")
+    with open(samples_path, "wb") as fh:
+        fh.write(",".join(TRACE_HEADER).encode("ascii") + b"\r\n")
         fh.writelines(_trace_blocks(trace))
     with open(trips_path, "w", newline="") as fh:
         fh.write(",".join(TRIP_HEADER) + "\r\n")

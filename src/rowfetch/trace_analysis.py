@@ -37,6 +37,7 @@ by the count with one rounding, bit for bit what statistics.mean returns.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -137,8 +138,9 @@ def infer_effective_prefetch(peaks: Sequence[int]) -> PeakReport:
 def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | None:
     """Mean elapsed over the peak rows, or None when none lies in the trace."""
     samples = _sample_array(samples)
-    rows = np.unique(np.fromiter(peaks, dtype=np.int64))
+    rows = np.sort(np.fromiter(peaks, dtype=np.int64))
     rows = rows[(rows >= 1) & (rows <= len(samples))]
+    rows = rows[np.diff(rows, prepend=0) > 0]  # each row once
     if len(rows) == 0:
         return None
     return _exact_mean(samples[rows - 1, 1])
@@ -180,28 +182,39 @@ def analyze_trace(
     return replace(report, avg_trip_time=avg_trip_time_from_trace(samples, peaks))
 
 
+# np.loadtxt opens a path ending in one of these as a compressed file.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_trace_samples(path) -> np.ndarray:
     """Load a row_index,elapsed_ms CSV as an (n, 2) float64 array.
 
     The header must match and the rows must obey the trace rule;
     otherwise TraceFormatError names the first bad line.  Blank lines
-    are skipped.
+    are skipped.  The header is checked on a plain open, so a path that
+    is missing or not a plain-text trace fails there; the body is then
+    read by path, which lets numpy parse it in chunks rather than line
+    by line.
     """
-    # Undecodable bytes become U+FFFD, which no number parses, so they
-    # fail as a bad row with its line rather than as a decoding error.
+    # Undecodable bytes become U+FFFD, which cannot match the header.
     with open(path, newline="", errors="replace") as fh:
         if [h.strip() for h in fh.readline().split(",")] != ["row_index", "elapsed_ms"]:
             raise TraceFormatError(f"{path}: expected header row_index,elapsed_ms")
-        try:
-            with warnings.catch_warnings():
-                # A header-only trace is valid: it is simply empty.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                samples = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None,
-                                     usecols=(0, 1), ndmin=2)
-            return _sample_array(samples)
-        except ValueError as exc:
-            raise TraceFormatError(_first_bad_line(path)) from exc
+    suffix = os.path.splitext(path)[1]
+    if suffix in _COMPRESSED_SUFFIXES:
+        raise TraceFormatError(f"{path}: a plain-text trace may not be named *{suffix}")
+    try:
+        with warnings.catch_warnings():
+            # A header-only trace is valid: it is simply empty.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # An absolute path is never taken for a URL.  An undecodable
+            # byte raises UnicodeDecodeError, a ValueError.
+            samples = np.loadtxt(os.path.abspath(path), skiprows=1, encoding="utf-8",
+                                 delimiter=",", dtype=np.float64, comments=None,
+                                 usecols=(0, 1), ndmin=2)
+        return _sample_array(samples)
+    except ValueError as exc:
+        raise TraceFormatError(_first_bad_line(path)) from exc
 
 
 def _first_bad_line(path) -> str:
@@ -211,7 +224,8 @@ def _first_bad_line(path) -> str:
     Python rather than interpreting numpy's error text.
     """
     expected = 1
-    with open(path, newline="", errors="replace") as fh:
+    # An undecodable byte is kept as a lone surrogate, which encode() rejects.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         next(fh, None)
         for lineno, line in enumerate(fh, start=2):
             text = line.rstrip("\r\n")
@@ -219,6 +233,7 @@ def _first_bad_line(path) -> str:
                 continue
             fields = text.split(",")
             try:
+                text.encode("utf-8")
                 row, ms = _number(fields[0]), _number(fields[1])
             except (IndexError, ValueError):
                 return f"{path}:{lineno}: bad sample row: {text!r}"

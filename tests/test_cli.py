@@ -233,8 +233,9 @@ class TestAnalyze:
         (b"1,abc\n", 2),
         (b"1,0.5\n2\n", 3),
         (b"1,0.5\n2,\xff\n", 3),
+        (b"1,0.5\n2,0.4,\xff\n", 3),
     ], ids=["nan", "inf", "duplicate", "gap", "unsorted", "not_a_number", "missing_column",
-            "not_utf8"])
+            "not_utf8", "not_utf8_extra_column"])
     def test_bad_rows_exit_input_naming_line(self, tmp_path, capsys, body, line):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"row_index,elapsed_ms\n" + body)

@@ -60,6 +60,17 @@ def reference_csv(trace, samples_path, trips_path):
         writer.writerows(dataclasses.astuple(trip) for trip in trace.trip_log)
 
 
+def assert_matches_reference(tmp_path, n, f, jitter):
+    """write_trace_csv gives reference_csv's bytes for WIDE at n records and size f."""
+    driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+    trace = simulate_fetch(WorkloadSpec(n, WIDE.field_byte_sizes), WAN, SERVER, driver,
+                           seed=11, jitter=jitter)
+    write_trace_csv(trace, tmp_path / "t.csv", tmp_path / "t_trips.csv")
+    reference_csv(trace, tmp_path / "r.csv", tmp_path / "r_trips.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    assert (tmp_path / "t_trips.csv").read_bytes() == (tmp_path / "r_trips.csv").read_bytes()
+
+
 class TestEffectivePrefetch:
     def test_default_wins_without_enforcement(self):
         d = DriverSpec(recommended_prefetch=100, default_prefetch=10)
@@ -313,17 +324,31 @@ class TestTraceCsv:
     BLOCKS = 3 * fetch_sim._BLOCK + 5
 
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
-    @pytest.mark.parametrize("n,f", [(0, 10), (7, 10), (10, 10), (500, 10), (502, 10),
-                                     (300, 1), (37, 10**6), (BLOCKS, 2 * fetch_sim._BLOCK + 3),
-                                     (BLOCKS, 3)])
+    @pytest.mark.parametrize("n,f", [
+        (0, 10), (7, 10), (10, 10), (500, 10), (502, 10), (300, 1), (37, 10**6),
+        (BLOCKS, 2 * fetch_sim._BLOCK + 3), (BLOCKS, 3),
+        # Every row a first row, across blocks.
+        (BLOCKS, 1),
+        # First rows at 1 + m * _BLOCK, the first row of a block.
+        (BLOCKS, fetch_sim._BLOCK),
+        # Row 1000 = 1 + 27 * 37 is a first row, in a block crossing 10, 100, 1000.
+        (1000, 37),
+        # The block holding rows 99,999 and 100,000 crosses 10**5 mid-block,
+        # and 100,000 = 1 + 11,111 * 9 is a first row.
+        (10**5 + fetch_sim._BLOCK, 9),
+    ])
     def test_bytes_match_row_by_row_csv_writer(self, tmp_path, n, f, jitter):
-        driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
-        trace = simulate_fetch(WorkloadSpec(n, WIDE.field_byte_sizes), WAN, SERVER, driver,
-                               seed=11, jitter=jitter)
-        write_trace_csv(trace, tmp_path / "t.csv", tmp_path / "t_trips.csv")
-        reference_csv(trace, tmp_path / "r.csv", tmp_path / "r_trips.csv")
-        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
-        assert (tmp_path / "t_trips.csv").read_bytes() == (tmp_path / "r_trips.csv").read_bytes()
+        assert_matches_reference(tmp_path, n, f, jitter)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 40), st.integers(0, 1200), st.integers(1, 300),
+           st.sampled_from([0.0, 0.3]))
+    def test_bytes_match_reference_at_any_block_size(self, block, n, f, jitter):
+        # Small blocks put powers of ten, first rows and the last row at
+        # every offset within a block and on block boundaries.
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(fetch_sim, "_BLOCK", block)
+            assert_matches_reference(Path(tmp), n, f, jitter)
 
     def test_write_memory_is_bounded_by_a_block(self, tmp_path):
         # A 3.6 MB trace of 3e5 rows and 3e4 trips: the writer may hold a

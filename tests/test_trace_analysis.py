@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gzip
 import random
+import socket
 import statistics
 import sys
 import tempfile
@@ -353,6 +355,49 @@ class TestTraceCsvReader:
             loaded = read_trace_samples(samples_path)
         assert trace.samples.dtype == loaded.dtype == np.float64
         assert np.array_equal(loaded, trace.samples)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text,
+        lambda text: text.replace(b"\r\n", b"\n"),
+        lambda text: text.replace(b"\r\n", b"\r\n\r\n"),
+        lambda text: text.replace(b"\r\n", b"\n\n", 5),
+        lambda text: text.removesuffix(b"\r\n"),
+        lambda text: text.replace(b"\r\n", b"\n").removesuffix(b"\n"),
+    ], ids=["crlf", "lf", "blank_lines", "blank_lines_lf", "no_final_crlf", "no_final_lf"])
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+    def test_line_ends_and_path_type_do_not_change_the_array(self, tmp_path, edit, as_path):
+        trace = simulated_trace(500, 10, seed=5, jitter=0.3)
+        written = tmp_path / "trace.csv"
+        write_trace_csv(trace, written, tmp_path / "trips.csv")
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes(edit(written.read_bytes()))
+        assert np.array_equal(read_trace_samples(as_path(edited)), trace.samples)
+
+    def test_gzip_trace_fails_at_the_header(self, tmp_path):
+        trace = simulated_trace(50, 10)
+        plain = tmp_path / "trace.csv"
+        write_trace_csv(trace, plain, tmp_path / "trips.csv")
+        path = tmp_path / "trace.csv.gz"
+        path.write_bytes(gzip.compress(plain.read_bytes()))
+        with pytest.raises(TraceFormatError, match="expected header"):
+            read_trace_samples(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix_is_refused(self, tmp_path, suffix):
+        # numpy would open it as a compressed file; the name is refused instead.
+        path = tmp_path / f"trace.csv{suffix}"
+        path.write_text("row_index,elapsed_ms\n1,0.5\n")
+        with pytest.raises(TraceFormatError, match=f"named \\*\\{suffix}"):
+            read_trace_samples(path)
+
+    def test_url_like_path_is_a_missing_file(self, monkeypatch):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("the reader opened a socket")
+
+        monkeypatch.setattr(socket.socket, "connect", no_connection)
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        with pytest.raises(FileNotFoundError):
+            read_trace_samples("http://127.0.0.1:9/t.csv")
 
     def test_accepts_external_csv(self, tmp_path):
         path = tmp_path / "external.csv"
