@@ -102,25 +102,20 @@ def cmd_sweep(args) -> int:
     n = cfg.workload.total_records
     sizes = range(lo, hi + 2)  # one past hi for the last forward difference
     if args.mode == "sim":
-        elapsed, trips = [], []
-        for f in sizes:
-            trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
-                                             replace(cfg.driver, enforced_prefetch=f),
-                                             seed=cfg.seed, jitter=cfg.jitter)
-            elapsed.append(trace.total_elapsed_ms)
-            trips.append(len(trace.records))
-            del trace  # free it before the next size's trace is built
+        elapsed = [fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
+                                            replace(cfg.driver, enforced_prefetch=f),
+                                            seed=cfg.seed, jitter=cfg.jitter).total_elapsed_ms
+                   for f in sizes]
     else:
         # Theoretical curves are drawn with constants calibrated once at
         # the driver's size in force, then swept across f.
         k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver,
                                      fetch_sim.effective_prefetch(cfg.driver))
         elapsed = [p.elapsed for p in sweep_curve(n, lo, hi + 1, k, args.mode)]
-        trips = [round_trips(n, f) for f in sizes]
     with open(args.out, "w") as fh:
         fh.write("# f\telapsed_ms\ttrips\tslope_ms\n")
-        for f, ms, nxt, count in zip(sizes, elapsed, elapsed[1:], trips):
-            fh.write(f"{f}\t{ms!r}\t{count}\t{ms - nxt!r}\n")
+        for f, ms, nxt in zip(sizes, elapsed, elapsed[1:]):
+            fh.write(f"{f}\t{ms!r}\t{round_trips(n, f)}\t{ms - nxt!r}\n")
     print(f"sweep: {args.out} ({hi - lo + 1} sizes, mode {args.mode})")
     return EXIT_OK
 
@@ -204,7 +199,7 @@ def main(argv=None) -> int:
         print(f"error: {flag}: {exc.rule}" if flag else f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if flag else EXIT_MODEL
     except (ConfigError, trace_analysis.TraceFormatError, model_fit.SampleFormatError,
-            FileNotFoundError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (model_fit.FitError, ValueError) as exc:

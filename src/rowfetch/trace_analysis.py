@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -113,26 +112,25 @@ def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) ->
             return scaled > threshold(scaled)
 
 
-def infer_effective_prefetch(peaks: Sequence[int]) -> PeakReport:
+def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
     """Estimate the batch size from peak spacing.
 
-    The estimate is the modal inter-peak gap, ties broken toward the
-    smallest candidate (understating f overstates trips, the safer
-    error).  Confidence is the fraction of evidence agreeing with the
-    mode, where the evidence is every gap plus the offset of the first
-    peak from row 1 (a batch's first blocking row sits one batch past
-    the start, so that offset should equal the gap).
+    The estimate is the modal inter-peak gap: the gap with the highest
+    count, ties broken toward the smallest candidate (understating f
+    overstates trips, the safer error).  Confidence is the fraction of
+    evidence agreeing with the mode, where the evidence is every gap plus
+    the offset of the first peak from row 1 (a batch's first blocking row
+    sits one batch past the start, so that offset should equal the gap).
     """
-    rows = sorted(peaks)
-    gaps = tuple(b - a for a, b in zip(rows, rows[1:]))
+    rows = np.sort(np.fromiter(peaks, dtype=np.int64))
+    gaps = np.diff(rows)
     if len(rows) < 2:
-        return PeakReport(tuple(rows), None, gaps, None, 0.0)
-    counts = Counter(gaps)
-    top = max(counts.values())
-    modal = min(g for g, c in counts.items() if c == top)
-    evidence = list(gaps) + [rows[0] - 1]
-    confidence = sum(1 for g in evidence if g == modal) / len(evidence)
-    return PeakReport(tuple(rows), modal, gaps, None, confidence)
+        return PeakReport(tuple(rows.tolist()), None, (), None, 0.0)
+    values, counts = np.unique(gaps, return_counts=True)
+    modal = int(values[counts.argmax()])  # the first maximum is the smallest gap
+    agreeing = int(np.count_nonzero(gaps == modal)) + (int(rows[0]) - 1 == modal)
+    return PeakReport(tuple(rows.tolist()), modal, tuple(gaps.tolist()), None,
+                      agreeing / len(rows))
 
 
 def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | None:
@@ -176,7 +174,6 @@ def analyze_trace(
     sigma_k: float = 3.0,
 ) -> PeakReport:
     """Full pipeline: detect peaks, infer the prefetch size, average them."""
-    samples = _sample_array(samples)
     peaks = detect_peaks(samples, median_ratio=median_ratio, sigma_k=sigma_k)
     report = infer_effective_prefetch(peaks)
     return replace(report, avg_trip_time=avg_trip_time_from_trace(samples, peaks))

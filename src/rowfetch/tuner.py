@@ -88,10 +88,9 @@ def optimal_prefetch(n: int, threshold_f: int) -> int:
     return -(-n // trips)
 
 
-def check_memory(f: int, budget: MemoryBudget) -> tuple[bool, int, int]:
-    """Whether f records fit the budget: (ok, bytes_at_f, max_feasible_f)."""
-    bytes_at_f = f * budget.record_bytes
-    return bytes_at_f <= budget.max_bytes, bytes_at_f, budget.max_bytes // budget.record_bytes
+def check_memory(f: int, budget: MemoryBudget) -> tuple[bool, int]:
+    """Whether f records fit the budget, and the most records that do: (ok, max_feasible_f)."""
+    return f * budget.record_bytes <= budget.max_bytes, budget.max_bytes // budget.record_bytes
 
 
 def recommend(
@@ -110,7 +109,7 @@ def recommend(
     threshold = threshold_prefetch(n, zero_run)
     optimal = optimal_prefetch(n, threshold)
     trips = round_trips(n, optimal)
-    ok, _, max_feasible = check_memory(optimal, budget)
+    ok, max_feasible = check_memory(optimal, budget)
     rationale = [
         f"trip count stops improving at prefetch {threshold} "
         f"(zero decrease sustained over {zero_run} sizes)",

@@ -265,24 +265,34 @@ class TestSweep:
             next_elapsed = quantized_cost(FetchPlan(f + 1, 502), k)
             assert float(slope_text) == expected - next_elapsed
 
-    def test_sim_mode_matches_simulator(self, tmp_path):
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("lo, hi", [(1, 40), (250, 252)])  # 251 divides 502
+    def test_sim_mode_matches_simulator(self, tmp_path, lo, hi, jitter):
         out = tmp_path / "sweep.tsv"
-        rc = cli.main(["sweep", "baseline.cfg", "--f-range", "25:25",
-                       "--mode", "sim", "--out", str(out)])
+        rc = cli.main(["sweep", "baseline.cfg", "--f-range", f"{lo}:{hi}",
+                       "--mode", "sim", "--jitter", str(jitter), "--out", str(out)])
         assert rc == EXIT_OK
-        row = out.read_text().splitlines()[1].split("\t")
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(lo, hi + 1))
 
         cfg = load_config("baseline.cfg")
-        driver = fetch_sim.DriverSpec(
-            recommended_prefetch=cfg.driver.recommended_prefetch,
-            enforced_prefetch=25,
-            default_prefetch=cfg.driver.default_prefetch,
-            per_field_conversion=cfg.driver.per_field_conversion,
-            request_overhead=cfg.driver.request_overhead)
-        trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
-                                         driver, seed=cfg.seed)
-        assert float(row[1]) == trace.total_elapsed_ms
-        assert int(row[2]) == len(trace.trip_log)
+
+        def simulated(f):
+            driver = fetch_sim.DriverSpec(
+                recommended_prefetch=cfg.driver.recommended_prefetch,
+                enforced_prefetch=f,
+                default_prefetch=cfg.driver.default_prefetch,
+                per_field_conversion=cfg.driver.per_field_conversion,
+                request_overhead=cfg.driver.request_overhead)
+            return fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
+                                            driver, seed=cfg.seed, jitter=jitter)
+
+        for f_text, elapsed_text, trips_text, slope_text in rows:
+            trace = simulated(int(f_text))
+            assert float(elapsed_text) == trace.total_elapsed_ms
+            assert int(trips_text) == len(trace.trip_log)
+            next_elapsed = simulated(int(f_text) + 1).total_elapsed_ms
+            assert float(slope_text) == trace.total_elapsed_ms - next_elapsed
 
     def test_reciprocal_mode_strictly_decreasing(self, tmp_path):
         out = tmp_path / "sweep.tsv"

@@ -2,8 +2,10 @@
 
 The probe patches module attributes by name and reads traces through a
 few attributes, so a rename or deletion here would only show as an
-AttributeError in `bench/run.py --trace 1`.  The probe's tables are read
-from its source with ast, without importing or executing it.
+AttributeError in `bench/run.py --trace 1`.  Its spans count only the
+calls that go through those attributes, so the callers it times must
+keep looking them up on the module.  The probe's tables are read from
+its source with ast, without importing or executing it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from rowfetch import cli, fetch_sim, trace_analysis
 from rowfetch.core_model import WorkloadSpec
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch, write_trace_csv
 
@@ -53,3 +56,41 @@ def test_trace_has_the_rows_the_probe_counts(n, f):
     trips = len(trace.trip_log)
     assert len(trace.samples) == n
     assert sum(1 for _, ms in trace.samples if ms) == max(trips - 1, 0)
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_trace_reaches_each_spanned_step_once(monkeypatch):
+    steps = ("detect_peaks", "infer_effective_prefetch", "avg_trip_time_from_trace")
+    calls = {name: counting(monkeypatch, trace_analysis, name) for name in steps}
+    trace = simulate_fetch(WorkloadSpec(502, (100,)), NetworkSpec.uniform(1, 600.0, 150.0),
+                           ServerSpec(), DriverSpec(enforced_prefetch=10))
+    report = trace_analysis.analyze_trace(trace.samples)
+    assert report.inferred_prefetch == 10
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(steps, 1)
+
+
+def test_sim_sweep_simulates_once_per_size(monkeypatch, tmp_path):
+    calls = counting(monkeypatch, fetch_sim, "simulate_fetch")
+    assert cli.main(["sweep", "baseline.cfg", "--f-range", "3:9", "--mode", "sim",
+                     "--out", str(tmp_path / "sweep.tsv")]) == cli.EXIT_OK
+    # One past HI as well, for the last row's forward difference.
+    assert [args[3].enforced_prefetch for args, _ in calls] == list(range(3, 11))
+
+
+def test_model_sweep_calibrates_once(monkeypatch, tmp_path):
+    calls = counting(monkeypatch, fetch_sim, "cost_constants")
+    assert cli.main(["sweep", "baseline.cfg", "--f-range", "1:20", "--mode", "quantized",
+                     "--out", str(tmp_path / "sweep.tsv")]) == cli.EXIT_OK
+    assert len(calls) == 1

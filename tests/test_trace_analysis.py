@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,6 +52,20 @@ def synthetic(n: int, peak_rows: dict[int, float], floor: float = 0.0):
     return [(row, peak_rows.get(row, floor)) for row in range(1, n + 1)]
 
 
+def reference_infer(peaks):
+    """The sorted/Counter prefetch inference, in plain Python ints."""
+    rows = sorted(peaks)
+    gaps = tuple(b - a for a, b in zip(rows, rows[1:]))
+    if len(rows) < 2:
+        return PeakReport(tuple(rows), None, gaps, None, 0.0)
+    counts = Counter(gaps)
+    top = max(counts.values())
+    modal = min(g for g, c in counts.items() if c == top)
+    evidence = list(gaps) + [rows[0] - 1]
+    confidence = sum(1 for g in evidence if g == modal) / len(evidence)
+    return PeakReport(tuple(rows), modal, gaps, None, confidence)
+
+
 def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0):
     """The per-row tuple algorithm, with exact statistics-module arithmetic."""
     values = [ms for _, ms in samples]
@@ -62,7 +77,7 @@ def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0):
         threshold = max(median_ratio * statistics.median(values),
                         statistics.mean(values) + sigma_k * statistics.pstdev(values))
         peaks = [row for row, ms in samples if ms > threshold]
-    report = infer_effective_prefetch(peaks)
+    report = reference_infer(peaks)
     wanted = set(peaks)
     peak_values = [ms for row, ms in samples if row in wanted]
     return replace(report, avg_trip_time=statistics.mean(peak_values) if peak_values else None)
@@ -276,6 +291,24 @@ class TestInferEffectivePrefetch:
         report = infer_effective_prefetch([])
         assert report.inferred_prefetch is None
         assert report.confidence == 0.0
+
+    @example([])
+    @example([7])
+    @example([1, 10**15])  # one gap far too wide to count with a dense array
+    @example([11, 21, 30, 41])  # three gaps tied at one each
+    @example([5, 5, 5, 9, 13])  # duplicate rows: the zero gap is modal
+    @example([-30, -20, -10, 0, 7])
+    @given(st.one_of(st.lists(st.integers(-40, 120), max_size=40),
+                     st.lists(st.integers(-10**12, 10**12), max_size=12),
+                     st.lists(st.sampled_from([1, 11, 21, 31, 41, 46, 51]), max_size=12)))
+    def test_matches_counter_reference(self, peaks):
+        report = infer_effective_prefetch(peaks)
+        expected = reference_infer(peaks)
+        assert report == expected
+        assert report.confidence.hex() == expected.confidence.hex()
+        assert all(type(v) is int for v in report.peak_rows + report.inter_peak_gaps)
+        assert type(report.inferred_prefetch) is (int if len(peaks) > 1 else type(None))
+        assert type(report.confidence) is float
 
 
 class TestAvgTripTime:
