@@ -58,11 +58,14 @@ def _run_config(args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _run_config(args)
-    trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,
-                                     seed=cfg.seed, jitter=cfg.jitter)
     trace_path = Path(args.out_trace)
     trips_path = (Path(args.out_trips) if args.out_trips
                   else trace_path.with_name(trace_path.stem + "_trips.csv"))
+    if trips_path.resolve() == trace_path.resolve():
+        raise ConfigError("--out-trips", f"{trips_path} is the --out-trace file; "
+                          "the trip log would overwrite the trace")
+    trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,
+                                     seed=cfg.seed, jitter=cfg.jitter)
     fetch_sim.write_trace_csv(trace, trace_path, trips_path)
     execution, retrieval = fetch_sim.stage_breakdown(trace)
     print(f"effective_prefetch: {trace.effective_prefetch}")

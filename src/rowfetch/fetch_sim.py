@@ -134,12 +134,6 @@ class TripRecord:
 _BLOCK = 1 << 13
 
 
-def _in_blocks(*columns: np.ndarray) -> Iterator[tuple]:
-    """Zip equal-length numpy columns as Python numbers, _BLOCK entries at a time."""
-    for lo in range(0, len(columns[0]), _BLOCK):
-        yield from zip(*(column[lo:lo + _BLOCK].tolist() for column in columns))
-
-
 @dataclass(frozen=True, eq=False)
 class LatencyTrace:
     """A simulated fetch, stored as the trip columns its per-row times come from.
@@ -162,11 +156,6 @@ class LatencyTrace:
     totals: np.ndarray
     total_elapsed_ms: float
 
-    def _trip_rows(self) -> Iterator[tuple]:
-        # (trip_index, records, r, e, a, t, c) as Python numbers.
-        return _in_blocks(np.arange(1, len(self.records) + 1), self.records,
-                          *self.components.T)
-
     def _first_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # Each batch's first row, from 1, and the time it shows: its trip's
         # total, but 0.0 on row 1, whose trip the execute call pays.
@@ -178,7 +167,8 @@ class LatencyTrace:
     @property
     def trip_log(self) -> tuple[TripRecord, ...]:
         """One TripRecord per trip, built each time it is read."""
-        return tuple(TripRecord(*row) for row in self._trip_rows())
+        return tuple(TripRecord(*row) for row in zip(
+            range(1, len(self.records) + 1), self.records.tolist(), *self.components.T.tolist()))
 
     @property
     def samples(self) -> np.ndarray:
@@ -325,42 +315,28 @@ TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 def _trace_blocks(trace: LatencyTrace) -> Iterator[np.ndarray]:
     """The trace CSV body as uint8 arrays of at most _BLOCK rows each.
 
-    Every row of block [lo, hi) is first laid down as row,0.0 with its
-    digits taken from the row numbers by integer arithmetic.  The block's
-    first rows, found by searchsorted, then get the repr of the value
-    _first_rows shows in place of 0.0, scattered in from one joined blob,
-    so no row is formatted on its own.
+    Every row of block [lo, hi) is first laid down in a fixed-width slot:
+    its number right-aligned in as many bytes as n has digits, ",0.0" in a
+    24-byte value field (no float64 repr is longer), then "\\r\\n", every
+    unused byte NUL.  The block's first rows, found by searchsorted, get the
+    repr of the value _first_rows shows as their value field, and dropping
+    the NULs leaves the CSV text, so no row is formatted on its own.
     """
     rows, shown = trace._first_rows()
     n = trace.total_records
+    digits = len(str(n))
     for lo in range(1, n + 1, _BLOCK):
         index = np.arange(lo, min(lo + _BLOCK, n + 1))
         a, b = np.searchsorted(rows, (lo, index[-1] + 1))
-        texts = list(map(repr, shown[a:b].tolist()))
-        sizes = np.fromiter(map(len, texts), np.int64, len(texts))
-        width = np.ones(len(index), dtype=np.int64)  # digits in the row number
-        power = 10
-        while power <= index[-1]:
-            width[max(power - lo, 0):] += 1
-            power *= 10
-        length = width + 6  # digits, ",0.0", "\r\n"
-        first = rows[a:b] - lo
-        length[first] += sizes - 3
-        end = np.cumsum(length)
-        comma = end - length + width
-        out = np.empty(end[-1], dtype=np.uint8)
-        for j in range(width[-1]):
+        line = np.zeros((len(index), digits + 27), dtype=np.uint8)
+        for j in range(len(str(index[-1]))):
             has = slice(max(10**j - lo, 0), None)  # rows with more than j digits
-            out[comma[has] - 1 - j] = index[has] // 10**j % 10 + ord("0")
-        out[comma] = ord(",")
-        out[comma + 1] = out[comma + 3] = ord("0")
-        out[comma + 2] = ord(".")
-        out[end - 2] = ord("\r")
-        out[end - 1] = ord("\n")
-        blob = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
-        starts = np.cumsum(sizes) - sizes  # each text's offset in blob
-        out[np.repeat(comma[first] + 1 - starts, sizes) + np.arange(len(blob))] = blob
-        yield out
+            line[has, digits - 1 - j] = index[has] // 10**j % 10 + ord("0")
+        line[:, digits:digits + 4] = np.frombuffer(b",0.0", dtype=np.uint8)
+        line[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+        texts = np.array(list(map(repr, shown[a:b].tolist())), dtype="S24")
+        line[rows[a:b] - lo, digits + 1:digits + 25] = texts.view(np.uint8).reshape(-1, 24)
+        yield line[line != 0]
 
 
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
@@ -376,4 +352,8 @@ def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
         fh.writelines(_trace_blocks(trace))
     with open(trips_path, "w", newline="") as fh:
         fh.write(",".join(TRIP_HEADER) + "\r\n")
-        fh.writelines("%d,%d,%r,%r,%r,%r,%r\r\n" % trip for trip in trace._trip_rows())
+        fh.writelines("%d,%d,%r,%r,%r,%r,%r\r\n" % trip
+                      for lo in range(0, len(trace.records), _BLOCK)
+                      for trip in zip(range(lo + 1, lo + _BLOCK + 1),
+                                      trace.records[lo:lo + _BLOCK].tolist(),
+                                      *trace.components[lo:lo + _BLOCK].T.tolist()))

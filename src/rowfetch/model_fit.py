@@ -53,8 +53,9 @@ class FitSample:
     total_records: int
 
     def __post_init__(self):
-        require(self.prefetch_size >= 1, "prefetch_size", "must be >= 1")
-        require(self.total_records >= 0, "total_records", "must be >= 0")
+        # As for WorkloadSpec: up to 2**53 every count is exact in float64.
+        require(1 <= self.prefetch_size <= 2**53, "prefetch_size", "must be in [1, 2**53]")
+        require(0 <= self.total_records <= 2**53, "total_records", "must be in [0, 2**53]")
         require(finite_nonneg(self.total_elapsed), "total_elapsed", "must be finite and >= 0")
 
 
@@ -161,7 +162,10 @@ _N_COMMENT = re.compile(r"#\s*N\s*=\s*(\d+)\s*$")
 
 
 def read_fit_samples(path) -> list[FitSample]:
-    """Load an f,elapsed_ms CSV whose `# N=<count>` comment names the set size."""
+    """Load an f,elapsed_ms CSV whose `# N=<count>` comment names the set size.
+
+    The comment may repeat, but only with the same count.
+    """
     total_records = None
     rows: list[tuple[int, str]] = []
     saw_header = False
@@ -173,7 +177,15 @@ def read_fit_samples(path) -> list[FitSample]:
             if line.startswith("#"):
                 match = _N_COMMENT.match(line)
                 if match:
-                    total_records = int(match.group(1))
+                    try:
+                        count = int(match.group(1))
+                        require(count <= 2**53, "N", "must be in [0, 2**53]")
+                        require(total_records in (None, count), "N",
+                                f"must repeat the earlier N={total_records}")
+                    except ValueError as exc:
+                        raise SampleFormatError(f"{path}:{lineno}: bad N comment: {line!r} "
+                                                f"({exc})") from exc
+                    total_records = count
                 continue
             if not saw_header:
                 if [part.strip() for part in line.split(",")] != ["f", "elapsed_ms"]:

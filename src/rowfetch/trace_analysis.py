@@ -29,7 +29,7 @@ rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
 The median, mean and population stdev are computed in float64, on the
-values scaled by a power of two when they would over- or underflow; only
+values scaled by the power of two that brings the largest into [0.5, 1); only
 the mean over the peak rows (avg_trip_time) is exact: the exact sum divided
 by the count with one rounding, bit for bit what statistics.mean returns.
 """
@@ -97,19 +97,11 @@ def detect_peaks(
 def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) -> np.ndarray:
     """Mask of the values above max(median_ratio * median, mean + sigma_k * stdev).
 
-    Where a statistic would over- or underflow, all are redone on the values
-    scaled exactly by the power of two that brings the largest into [0.5, 1).
+    The statistics are taken on the values scaled exactly by the power of two
+    that brings the largest magnitude into [0.5, 1), so none overflows.
     """
-    def threshold(values):
-        return max(median_ratio * np.median(values), values.mean() + sigma_k * values.std())
-
-    try:
-        with np.errstate(over="raise", under="raise"):
-            return values > threshold(values)
-    except FloatingPointError:
-        scaled = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
-        with np.errstate(all="ignore"):
-            return scaled > threshold(scaled)
+    scaled = np.ldexp(values, -np.frexp(max(values.max(), -values.min()))[1])
+    return scaled > max(median_ratio * np.median(scaled), scaled.mean() + sigma_k * scaled.std())
 
 
 def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:

@@ -105,6 +105,18 @@ class TestSimulate:
         assert other.exists()
         assert not (tmp_path / "t_trips.csv").exists()
 
+    @pytest.mark.parametrize("trace_arg, trips_arg", [("x.csv", "{abs}"), ("{abs}", "./x.csv")])
+    def test_trips_path_equal_to_trace_path_exit_input(self, tmp_path, monkeypatch, capsys,
+                                                       trace_arg, trips_arg):
+        # One file spelled relative and absolute: the trip log would overwrite the trace.
+        monkeypatch.chdir(tmp_path)
+        spell = {"abs": str(tmp_path / "x.csv")}
+        rc = cli.main(["simulate", "baseline.cfg", "--out-trace", trace_arg.format(**spell),
+                       "--out-trips", trips_arg.format(**spell)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --out-trips: ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_workload(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"workload.total_records": "0"})
         rc, trace, _ = simulate(tmp_path, cfg)
@@ -376,6 +388,25 @@ class TestFit:
         path.write_bytes(b"# N=502\nf,elapsed_ms\n5,100.0\n" + row + b"\n")
         assert cli.main(["fit", str(path)]) == EXIT_INPUT
         assert f"{path}:4:" in capsys.readouterr().err
+
+    def test_conflicting_n_comments_exit_input_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        write_fit_samples(self.make_samples((5, 10, 25, 50, 100, 168, 251)), path)
+        with path.open("a") as fh:
+            fh.write("# N=9999\n")
+        assert cli.main(["fit", str(path)]) == EXIT_INPUT
+        assert f"{path}:10:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        (f"# N=502\nf,elapsed_ms\n5,100.0\n{10**400},100.0\n", 4),
+        (f"# N={10**400}\nf,elapsed_ms\n5,100.0\n10,90.0\n", 1),
+    ], ids=["f", "N"])
+    def test_count_beyond_float64_exit_input_naming_line(self, tmp_path, text, line):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        done = run_cli("fit", str(path))
+        assert done.returncode == EXIT_INPUT
+        assert f"{path}:{line}:" in done.stderr and "Traceback" not in done.stderr
 
     def test_missing_n_comment_exit_input(self, tmp_path):
         path = tmp_path / "samples.csv"

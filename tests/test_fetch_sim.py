@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -339,6 +340,23 @@ class TestTraceCsv:
     ])
     def test_bytes_match_row_by_row_csv_writer(self, tmp_path, n, f, jitter):
         assert_matches_reference(tmp_path, n, f, jitter)
+
+    def test_longest_reprs_match_row_by_row_csv_writer(self, tmp_path):
+        # The largest, smallest normal and smallest subnormal doubles and a
+        # 17-digit one: the longest reprs a total can have, in each form.
+        longest = [1.7976931348623157e+308, 2.2250738585072014e-308, 5e-324,
+                   0.30000000000000004]
+        totals = np.array([1.0, *longest, *longest])
+        components = np.zeros((len(totals), 5))
+        components[:, 1] = totals
+        trace = fetch_sim.LatencyTrace(np.full(len(totals), 3), components, 3,
+                                       3 * len(totals), totals, math.inf)
+        write_trace_csv(trace, tmp_path / "t.csv", tmp_path / "t_trips.csv")
+        reference_csv(trace, tmp_path / "r.csv", tmp_path / "r_trips.csv")
+        text = (tmp_path / "t.csv").read_bytes()
+        assert text == (tmp_path / "r.csv").read_bytes()
+        assert (tmp_path / "t_trips.csv").read_bytes() == (tmp_path / "r_trips.csv").read_bytes()
+        assert all(f",{ms!r}\r\n".encode() in text for ms in longest)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 40), st.integers(0, 1200), st.integers(1, 300),

@@ -264,6 +264,19 @@ class TestSamplesCsv:
         with pytest.raises(SampleFormatError):
             read_fit_samples(path)
 
+    def test_n_comment_repeats_only_with_the_same_count(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        write_fit_samples(make_samples(), path)
+        with path.open("a") as fh:
+            fh.write("# N=502\n")
+        assert read_fit_samples(path) == make_samples()
+        with path.open("a") as fh:
+            fh.write("# N=9999\n")
+        last = len(path.read_text().splitlines())
+        with pytest.raises(SampleFormatError) as exc:
+            read_fit_samples(path)
+        assert str(exc.value).startswith(f"{path}:{last}: ") and "N=502" in str(exc.value)
+
     def test_bad_row(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("# N=502\nf,elapsed_ms\nten,100.0\n")
@@ -273,6 +286,8 @@ class TestSamplesCsv:
     @pytest.mark.parametrize("args, field", [
         ((0, 100.0, 502), "prefetch_size"),
         ((10, 100.0, -1), "total_records"),
+        ((2**53 + 1, 100.0, 502), "prefetch_size"),
+        ((10, 100.0, 2**53 + 1), "total_records"),
         ((10, -1.0, 502), "total_elapsed"),
         ((10, float("nan"), 502), "total_elapsed"),
         ((10, float("inf"), 502), "total_elapsed"),
