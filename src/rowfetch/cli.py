@@ -61,7 +61,8 @@ def cmd_simulate(args) -> int:
     trace_path = Path(args.out_trace)
     trips_path = (Path(args.out_trips) if args.out_trips
                   else trace_path.with_name(trace_path.stem + "_trips.csv"))
-    if trips_path.resolve() == trace_path.resolve():
+    if trips_path.resolve() == trace_path.resolve() or (
+            trace_path.exists() and trips_path.exists() and trips_path.samefile(trace_path)):
         raise ConfigError("--out-trips", f"{trips_path} is the --out-trace file; "
                           "the trip log would overwrite the trace")
     trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,

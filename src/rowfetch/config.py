@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 from .core_model import FieldError, WorkloadSpec, require
@@ -156,9 +155,11 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+_PRESETS = Path(__file__).with_name("presets")
+
+
 def list_presets() -> list[str]:
-    root = resources.files("rowfetch") / "presets"
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
+    return sorted(p.name for p in _PRESETS.iterdir() if p.name.endswith(".cfg"))
 
 
 def resolve_config_path(name_or_path: str) -> Path:
@@ -166,9 +167,9 @@ def resolve_config_path(name_or_path: str) -> Path:
     path = Path(name_or_path)
     if path.exists():
         return path
-    candidate = resources.files("rowfetch") / "presets" / name_or_path
+    candidate = _PRESETS / name_or_path
     if candidate.is_file():
-        return Path(str(candidate))
+        return candidate
     raise FileNotFoundError(
         f"no such config file or preset: {name_or_path} "
         f"(presets: {', '.join(list_presets())})")

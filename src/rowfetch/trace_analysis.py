@@ -236,7 +236,8 @@ def _first_bad_line(path) -> str:
 
 def _number(field: str) -> float:
     # np.loadtxt parses what float() does, except underscores and
-    # non-ASCII digits.
+    # non-ASCII digits, and strips all the whitespace str.strip does.
+    field = field.strip()
     if not field.isascii() or "_" in field:
         raise ValueError(field)
     return float(field)

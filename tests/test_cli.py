@@ -6,6 +6,7 @@ exit code, the printed summary, and the artifacts on disk.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -116,6 +117,16 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: --out-trips: ")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_trips_path_hard_linked_to_trace_path_exit_input(self, tmp_path, capsys):
+        trace, link = tmp_path / "a.csv", tmp_path / "b.csv"
+        trace.write_text("kept\n")
+        os.link(trace, link)
+        rc = cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace),
+                       "--out-trips", str(link)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --out-trips: ")
+        assert trace.read_text() == "kept\n"
 
     def test_empty_workload(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"workload.total_records": "0"})
@@ -246,8 +257,9 @@ class TestAnalyze:
         (b"1,0.5\n2\n", 3),
         (b"1,0.5\n2,\xff\n", 3),
         (b"1,0.5\n2,0.4,\xff\n", 3),
+        ("1,\xa00.0\n2,5.0\n3,x\n".encode(), 4),
     ], ids=["nan", "inf", "duplicate", "gap", "unsorted", "not_a_number", "missing_column",
-            "not_utf8", "not_utf8_extra_column"])
+            "not_utf8", "not_utf8_extra_column", "after_unicode_space"])
     def test_bad_rows_exit_input_naming_line(self, tmp_path, capsys, body, line):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"row_index,elapsed_ms\n" + body)
@@ -503,10 +515,17 @@ class TestConfigErrors:
         assert "duplicate" in capsys.readouterr().err
 
     def test_missing_required_key(self, tmp_path, capsys):
-        cfg = config_file(tmp_path, drop=("workload.total_records",))
-        rc, _, _ = simulate(tmp_path, cfg)
+        for key in ("workload.total_records", "network.hops"):
+            rc, _, _ = simulate(tmp_path, config_file(tmp_path, drop=(key,)))
+            assert rc == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: {key}: required key missing\n"
+
+    def test_line_without_equals_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "noeq.cfg"
+        path.write_text("# comment\nworkload.total_records 502\n")
+        rc, _, _ = simulate(tmp_path, str(path))
         assert rc == EXIT_INPUT
-        assert "workload.total_records" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: line 2: expected key=value")
 
     def test_jitter_without_seed(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"run.jitter": "0.2"}, drop=("run.seed",))
@@ -628,3 +647,15 @@ class TestUsage:
             cli.main(["sweep", "baseline.cfg", "--f-range", "1:5",
                       "--mode", "psychic", "--out", str(tmp_path / "s.tsv")])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestPythonApi:
+    def test_readme_block_runs_and_imports_exactly_the_root_exports(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(block, {})
+        assert capsys.readouterr().out == "168 3\n"
+        imported = re.search(r"from rowfetch import \(([^)]*)\)", block).group(1)
+        exported = {name for name, value in vars(rowfetch).items()
+                    if not name.startswith("_") and not inspect.ismodule(value)}
+        assert exported == {name.strip() for name in imported.split(",") if name.strip()}

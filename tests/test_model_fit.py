@@ -114,6 +114,12 @@ class TestDegenerateDesigns:
         with pytest.raises(FitError, match="collinear"):
             fit_cost_model(samples)
 
+    def test_ill_conditioned_design_is_flagged(self):
+        # At N = 10**12 + 1 the trips column dwarfs f and the residuals.
+        result = fit_cost_model(make_samples(f_grid=(2, 3, 5, 7, 11), n=10**12 + 1))
+        assert result.condition_warning
+        assert result.warnings == ("ill-conditioned design matrix (condition 2.48e+12)",)
+
     def test_shared_residual_is_collinear(self):
         # 10, 25, 50, 100 all divide 500, so N mod f is 2 everywhere and
         # the residual-records column is 2x the indicator column.
@@ -251,6 +257,8 @@ class TestSamplesCsv:
         first = path.read_text().splitlines()
         assert first[0] == "# N=502"
         assert first[1] == "f,elapsed_ms"
+        path.write_text("\n".join(first[:3] + [""] + first[3:]))
+        assert read_fit_samples(path) == samples  # a blank line between rows is skipped
 
     def test_missing_n_comment(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -262,6 +270,9 @@ class TestSamplesCsv:
         path = tmp_path / "samples.csv"
         path.write_text("# N=502\n10,100.0\n")
         with pytest.raises(SampleFormatError):
+            read_fit_samples(path)
+        path.write_text("# N=502\n\n# no rows yet\n")
+        with pytest.raises(SampleFormatError, match="missing f,elapsed_ms header"):
             read_fit_samples(path)
 
     def test_n_comment_repeats_only_with_the_same_count(self, tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gzip
+import io
+import math
 import random
 import socket
 import statistics
@@ -29,6 +31,7 @@ from rowfetch.fetch_sim import (
 from rowfetch.trace_analysis import (
     PeakReport,
     TraceFormatError,
+    _number,
     analyze_trace,
     avg_trip_time_from_trace,
     detect_peaks,
@@ -40,6 +43,9 @@ DBL_MAX = sys.float_info.max
 NET = NetworkSpec.uniform(2, 600.0, 150.0, 0.9)
 SERVER = ServerSpec(hard_parse=40.0, soft_parse=3.0, per_record_search=0.05,
                     server_cache_size=100, disk_access_per_refill=12.0)
+# Whitespace that str.strip, float() and np.loadtxt may each treat differently.
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028",
+          "\u3000"]
 
 
 def simulated_trace(n: int, f: int, seed: int = 0, jitter: float = 0.0):
@@ -472,3 +478,23 @@ class TestTraceCsvReader:
         path.write_text("row_index,elapsed_ms\n1,abc\n")
         with pytest.raises(TraceFormatError):
             read_trace_samples(path)
+
+    @given(st.text(st.sampled_from(list("0123456789\u0661.eE+-_infaxNI\x00") + SPACES), max_size=10)
+           | st.builds(lambda before, value, after: before + repr(value) + after,
+                       st.sampled_from(SPACES), st.floats(), st.sampled_from(SPACES)))
+    def test_fallback_parser_agrees_with_numpy(self, field):
+        # _first_bad_line re-reads a failed trace with _number, so it must
+        # accept exactly the fields np.loadtxt accepts, with the same value.
+        try:
+            expected = np.loadtxt(io.StringIO(f"1,{field}\n"), delimiter=",", comments=None,
+                                  dtype=np.float64, ndmin=2)[0, 1]
+        except ValueError:
+            expected = None
+        try:
+            value = _number(field)
+        except ValueError:
+            value = None
+        if expected is None or value is None:
+            assert value is None and expected is None
+        else:
+            assert value == expected or math.isnan(value) and math.isnan(expected)
