@@ -127,7 +127,7 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     samples = model_fit.read_fit_samples(args.samples)
     result = model_fit.fit_cost_model(samples)
-    print(model_fit.result_json(result))
+    print(json.dumps(vars(result)))
     return EXIT_OK
 
 
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (model_fit.FitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

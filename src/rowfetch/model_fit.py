@@ -22,8 +22,6 @@ Identifiability caveats handled here rather than silently mis-reported:
 
 from __future__ import annotations
 
-import csv
-import json
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -61,20 +59,25 @@ class FitSample:
 
 @dataclass(frozen=True)
 class FitResult:
-    constants: CostConstants
+    """What `rowfetch fit` prints, in order; k3/k4 are None when every sample divides N."""
+
+    k1: float
+    k2: float
+    k3: float | None
+    k4: float | None
     residual_rms: float
     sample_count: int
     condition_warning: bool
     warnings: tuple[str, ...] = ()
-    unidentifiable: tuple[str, ...] = ()
+
+    @property
+    def constants(self) -> CostConstants:
+        """The fitted model, with an unidentifiable constant as 0."""
+        return CostConstants(self.k1, self.k2, self.k3 or 0.0, self.k4 or 0.0)
 
 
-def _basis_row(n: int, f: int) -> list[float]:
-    residual = n % f
-    return [float(n // f), float(f), 1.0 if residual else 0.0, float(residual)]
-
-
-def _collinear_columns(design: np.ndarray, names: list[str]) -> list[str]:
+def _collinear_columns(design: np.ndarray, names: tuple[str, ...]) -> list[str]:
+    """Columns adding no rank to those before them: none iff full column rank."""
     kept: list[int] = []
     guilty = []
     for col in range(design.shape[1]):
@@ -125,22 +128,18 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
         raise FitError(f"samples mix result-set sizes {sorted(n_values)}; fit one N at a time")
     n = n_values.pop()
 
-    design = np.array([_basis_row(n, s.prefetch_size) for s in samples])
+    sizes = [s.prefetch_size for s in samples]
+    design = np.array([[n // f, f, 1.0 if n % f else 0.0, n % f] for f in sizes], dtype=float)
     y = np.array([s.total_elapsed for s in samples])
 
     warnings: list[str] = []
-    unidentifiable: tuple[str, ...] = ()
-    names = list(BASIS_NAMES)
     if not design[:, 3].any():
         # Every sample divides N evenly: the residual columns carry no
         # information, so only k1/k2 can be estimated.
-        unidentifiable = ("k3", "k4")
         warnings.append("k3/k4 unidentifiable: every sample has N mod f == 0")
         design = design[:, :2]
-        names = names[:2]
 
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        guilty = _collinear_columns(design, names)
+    if guilty := _collinear_columns(design, BASIS_NAMES):
         raise FitError("design matrix is rank-deficient; collinear columns: "
                        + ", ".join(guilty))
 
@@ -151,11 +150,10 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
 
     coef = _solve_nonnegative(design, y)
     residual_rms = _rms(design @ coef - y)
-    k = np.zeros(4)
-    k[: len(coef)] = coef
-    constants = CostConstants(k[0], k[1], k[2], k[3])
-    return FitResult(constants, residual_rms, len(samples), condition_warning,
-                     tuple(warnings), unidentifiable)
+    unfitted = 4 - len(coef)
+    CostConstants(*coef, *[0.0] * unfitted)  # a non-finite constant fails here, named
+    return FitResult(*coef, *[None] * unfitted, residual_rms, len(samples),
+                     condition_warning, tuple(warnings))
 
 
 _N_COMMENT = re.compile(r"#\s*N\s*=\s*(\d+)\s*$")
@@ -211,18 +209,7 @@ def write_fit_samples(samples: list[FitSample], path) -> None:
     if len({s.total_records for s in samples}) != 1:
         raise ValueError("samples must share one total_records value")
     with open(path, "w", newline="") as fh:
-        fh.write(f"# N={samples[0].total_records}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("f", "elapsed_ms"))
-        for s in samples:
-            writer.writerow((s.prefetch_size, repr(s.total_elapsed)))
-
-
-def result_json(fit: FitResult) -> str:
-    """Serialize a FitResult as a flat JSON object: k1..k4, null where
-    unidentifiable, then the other result fields in declaration order."""
-    payload = {name: None if name in fit.unidentifiable else value
-               for name, value in vars(fit.constants).items()}
-    payload.update((name, value) for name, value in vars(fit).items()
-                   if name not in ("constants", "unidentifiable"))
-    return json.dumps(payload)
+        # The header and rows end in \r\n, the csv module's line end, so
+        # files stay byte-identical to those already written.
+        fh.write(f"# N={samples[0].total_records}\nf,elapsed_ms\r\n")
+        fh.writelines(f"{s.prefetch_size},{s.total_elapsed!r}\r\n" for s in samples)

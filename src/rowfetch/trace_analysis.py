@@ -179,11 +179,11 @@ def read_trace_samples(path) -> np.ndarray:
     """Load a row_index,elapsed_ms CSV as an (n, 2) float64 array.
 
     The header must match and the rows must obey the trace rule;
-    otherwise TraceFormatError names the first bad line.  Blank lines
-    are skipped.  The header is checked on a plain open, so a path that
-    is missing or not a plain-text trace fails there; the body is then
-    read by path, which lets numpy parse it in chunks rather than line
-    by line.
+    otherwise TraceFormatError names the first bad line.  Empty lines
+    are skipped, but a line of only spaces or tabs is a bad row.  The
+    header is checked on a plain open, so a path that is missing or not
+    a plain-text trace fails there; the body is then read by path, which
+    lets numpy parse it in chunks rather than line by line.
     """
     # Undecodable bytes become U+FFFD, which cannot match the header.
     with open(path, newline="", errors="replace") as fh:

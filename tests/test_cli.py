@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -258,8 +259,9 @@ class TestAnalyze:
         (b"1,0.5\n2,\xff\n", 3),
         (b"1,0.5\n2,0.4,\xff\n", 3),
         ("1,\xa00.0\n2,5.0\n3,x\n".encode(), 4),
+        (b"1,0.5\n   \n2,0.4\n", 3),
     ], ids=["nan", "inf", "duplicate", "gap", "unsorted", "not_a_number", "missing_column",
-            "not_utf8", "not_utf8_extra_column", "after_unicode_space"])
+            "not_utf8", "not_utf8_extra_column", "after_unicode_space", "spaces_only"])
     def test_bad_rows_exit_input_naming_line(self, tmp_path, capsys, body, line):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"row_index,elapsed_ms\n" + body)
@@ -659,3 +661,47 @@ class TestPythonApi:
         exported = {name for name, value in vars(rowfetch).items()
                     if not name.startswith("_") and not inspect.ismodule(value)}
         assert exported == {name.strip() for name in imported.split(",") if name.strip()}
+
+
+def readme_sessions():
+    """Each `$ command` in the README's code blocks, with the lines shown after it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sessions, shown = {}, None
+    for line in readme.splitlines():
+        if line.startswith("```"):
+            shown = None
+        elif line.startswith("$ "):
+            shown = sessions[line[2:]] = []
+        elif shown is not None:
+            shown.append(line)
+    return sessions
+
+
+class TestReadmeExamples:
+    SESSIONS = readme_sessions()
+
+    def run(self, command, capsys):
+        argv = shlex.split(command)
+        assert argv[0] == "rowfetch"
+        assert cli.main(argv[1:]) == EXIT_OK
+        return capsys.readouterr().out.splitlines()
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    def test_simulate_output(self, capsys):
+        command = "rowfetch simulate baseline.cfg --out-trace trace.csv"
+        assert self.run(command, capsys) == self.SESSIONS[command]
+
+    def test_sweep_summary_and_head(self, capsys):
+        command = "rowfetch sweep baseline.cfg --f-range 1:300 --mode sim --out sweep.tsv"
+        assert self.run(command, capsys) == self.SESSIONS[command]
+        head = Path("sweep.tsv").read_text().splitlines()[:4]
+        assert head == self.SESSIONS["head -4 sweep.tsv"]
+
+    def test_recommend_rationale(self, capsys):
+        command = "rowfetch recommend baseline.cfg --budget-bytes 1000000"
+        out, shown = self.run(command, capsys), self.SESSIONS[command]
+        assert out[0].startswith(shown[0].removesuffix(" ...}"))
+        assert out[1:] == shown[1:]

@@ -135,6 +135,10 @@ class TestReciprocalCost:
         with pytest.raises(ValueError):
             reciprocal_cost(502, 0, 200.0)
 
+    def test_rejects_negative_record_count(self):
+        with pytest.raises(ValueError, match="record count must be >= 0"):
+            reciprocal_cost(-1, 1, 1.0)
+
 
 class TestTripDecrease:
     @pytest.mark.parametrize("f,expected", [(1, 251), (10, 5), (100, 1), (200, 0)])

@@ -102,6 +102,14 @@ class TestTransportTime:
         half = NetworkSpec((HopSpec(100.0, 0.0, 0.5),))
         assert transport_time(1000, half) == pytest.approx(2 * transport_time(1000, full))
 
+    def test_negative_byte_count_rejected(self):
+        with pytest.raises(ValueError, match="byte_count must be >= 0"):
+            transport_time(-1, WAN)
+
+    def test_cost_constants_reject_zero_prefetch(self):
+        with pytest.raises(ValueError, match="prefetch size must be >= 1"):
+            cost_constants(WIDE, WAN, SERVER, DRIVER, 0)
+
 
 class TestSimulateFetch:
     def test_trip_count_and_batch_sizes(self):

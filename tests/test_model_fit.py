@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 from rowfetch.core_model import FetchPlan, FieldError, WorkloadSpec, quantized_cost
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch
 from rowfetch.model_fit import (
+    BASIS_NAMES,
     FitError,
     FitSample,
     SampleFormatError,
+    _collinear_columns,
     _rms,
     fit_cost_model,
     read_fit_samples,
-    result_json,
     write_fit_samples,
 )
 
@@ -52,7 +53,7 @@ class TestExactRecovery:
         mean_elapsed = np.mean([s.total_elapsed for s in make_samples()])
         assert result.residual_rms < 1e-9 * mean_elapsed
         assert not result.condition_warning
-        assert result.unidentifiable == ()
+        assert None not in (result.k3, result.k4)
 
     def test_scaling_covariance(self):
         base = fit_cost_model(make_samples()).constants
@@ -93,16 +94,16 @@ class TestDegenerateDesigns:
     def test_all_divisible_sizes_leave_k3_k4_unidentifiable(self):
         samples = make_samples(f_grid=(2, 4, 10, 20, 40), n=440)
         result = fit_cost_model(samples)
-        assert result.unidentifiable == ("k3", "k4")
+        assert result.k3 is None and result.k4 is None
         assert any("unidentifiable" in w for w in result.warnings)
         assert result.constants.k1 == pytest.approx(TRUE_K[0], rel=1e-6)
         assert result.constants.k2 == pytest.approx(TRUE_K[1], rel=1e-6)
-        payload = json.loads(result_json(result))
+        payload = json.loads(json.dumps(vars(result)))
         assert payload["k3"] is None and payload["k4"] is None
         assert payload["k1"] == pytest.approx(TRUE_K[0], rel=1e-6)
 
     def test_result_json_key_order(self):
-        payload = json.loads(result_json(fit_cost_model(make_samples())))
+        payload = vars(fit_cost_model(make_samples()))
         assert list(payload) == ["k1", "k2", "k3", "k4", "residual_rms", "sample_count",
                                  "condition_warning", "warnings"]
 
@@ -151,7 +152,7 @@ def assert_kkt(n, sizes, y, result):
     k = result.constants
     x = np.array([k.k1, k.k2, k.k3, k.k4])
     design = np.array([[n // f, f, 1.0 if n % f else 0.0, n % f] for f in sizes])
-    if result.unidentifiable:
+    if result.k3 is None:
         design, x = design[:, :2], x[:2]
     grad = design.T @ (design @ x - np.asarray(y))
     tol = 1e-9 * np.linalg.norm(design) * np.linalg.norm(y)
@@ -201,6 +202,26 @@ class TestNonNegativeOptimum:
         except FitError:
             assume(False)  # exactly collinear columns: no optimum to check
         assert_kkt(n, sizes, y, result)
+
+
+@st.composite
+def small_designs(draw):
+    """Small integer designs of 1-4 columns, some with one column a multiple of another."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-5, 5), min_size=width, max_size=width)
+    design = np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=float)
+    if width > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(width)))[:2]
+        design[:, dst] = draw(st.sampled_from((0, 1, 2, -3, 1e-9))) * design[:, src]
+    return design
+
+
+class TestCollinearColumns:
+    @settings(max_examples=300)
+    @given(small_designs())
+    def test_no_guilty_column_exactly_at_full_column_rank(self, design):
+        full_rank = np.linalg.matrix_rank(design) == design.shape[1]
+        assert (_collinear_columns(design, BASIS_NAMES) == []) == full_rank
 
 
 class TestResidualRms:
@@ -259,6 +280,10 @@ class TestSamplesCsv:
         assert first[1] == "f,elapsed_ms"
         path.write_text("\n".join(first[:3] + [""] + first[3:]))
         assert read_fit_samples(path) == samples  # a blank line between rows is skipped
+
+    def test_writer_refuses_mixed_result_set_sizes(self, tmp_path):
+        with pytest.raises(ValueError, match="one total_records"):
+            write_fit_samples(make_samples() + make_samples(n=400), tmp_path / "samples.csv")
 
     def test_missing_n_comment(self, tmp_path):
         path = tmp_path / "samples.csv"
