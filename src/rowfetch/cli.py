@@ -111,10 +111,7 @@ def cmd_sweep(args) -> int:
                                             seed=cfg.seed, jitter=cfg.jitter).total_elapsed_ms
                    for f in sizes]
     else:
-        # Theoretical curves are drawn with constants calibrated once at
-        # the driver's size in force, then swept across f.
-        k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver,
-                                     fetch_sim.effective_prefetch(cfg.driver))
+        k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver)
         elapsed = [p.elapsed for p in sweep_curve(n, lo, hi + 1, k, args.mode)]
     with open(args.out, "w") as fh:
         fh.write("# f\telapsed_ms\ttrips\tslope_ms\n")
@@ -135,11 +132,8 @@ def cmd_recommend(args) -> int:
     cfg = load_config(args.config)
     n = cfg.workload.total_records
     budget = tuner.MemoryBudget(args.budget_bytes, cfg.workload.record_bytes)
-    rec = tuner.recommend(
-        n, budget,
-        lambda f: fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server,
-                                           cfg.driver, f),
-        zero_run=args.zero_run)
+    k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver)
+    rec = tuner.recommend(n, budget, k, zero_run=args.zero_run)
     print(json.dumps(vars(rec)))
     print()
     print(tuner.render_recommendation(n, rec, budget))

@@ -2,15 +2,17 @@
 
 A driver that pulls N records in batches of f needs ceil(N/f) round
 trips.  Total transport time decomposes into a per-trip constant, a
-batch-size term, and a residual-trip correction:
+batch-size term, a residual-trip correction, and a floor C paid once
+whatever f is (zero when N = 0):
 
-    T(f) = k1 * floor(N/f) + k2 * f + k3 * [N mod f > 0] + k4 * (N mod f)
+    T(f) = k1 * floor(N/f) + k2 * f + k3 * [N mod f > 0] + k4 * (N mod f) + C
 
-Dropping everything but the trip term and letting the trip count vary
-continuously gives the reciprocal approximation T(f) = k1 * N / f, a
-rectangular hyperbola in f.  Both forms, the discrete trip-count slope,
-and curve sweeps live here.  Nothing in this module simulates anything
-or touches I/O.
+With k1 = k3 = a and k2 = k4 = 0 this is a * ceil(N/f) + C, the law the
+simulator obeys exactly.  Letting the trip count vary continuously gives
+the reciprocal approximation T(f) = k1 * N / f + C, a rectangular
+hyperbola in f above the floor.  Both forms, the discrete trip-count
+slope, and curve sweeps live here.  Nothing in this module simulates
+anything or touches I/O.
 """
 
 from __future__ import annotations
@@ -86,15 +88,16 @@ class FetchPlan:
 
 @dataclass(frozen=True)
 class CostConstants:
-    """The four fitted constants of the transport model, in ms."""
+    """The four fitted constants of the transport model and its floor, in ms."""
 
     k1: float
     k2: float
     k3: float
     k4: float
+    floor: float = 0.0
 
     def __post_init__(self):
-        for name in ("k1", "k2", "k3", "k4"):
+        for name in ("k1", "k2", "k3", "k4", "floor"):
             require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")
 
 
@@ -129,13 +132,14 @@ def quantized_cost(plan: FetchPlan, k: CostConstants) -> float:
 
     Full batches are charged k1 each; k2 * f is a single global term, not
     a per-trip one.  The residual constants k3 and k4 contribute only
-    when a short final trip exists.  An empty result set costs nothing.
+    when a short final trip exists, the floor always.  An empty result
+    set costs nothing.
     """
     n, f = plan.total_records, plan.prefetch_size
     if n == 0:
         return 0.0
     residual = n % f
-    cost = k.k1 * (n // f) + k.k2 * f
+    cost = k.k1 * (n // f) + k.k2 * f + k.floor
     if residual:
         cost += k.k3 + k.k4 * residual
     return checked_total(cost)
@@ -179,7 +183,8 @@ def sweep_curve(
     """Evaluate the cost model over an inclusive range of prefetch sizes.
 
     mode "quantized" uses the four-constant form; "reciprocal" uses the
-    k1 * n / f hyperbola.  An empty range yields an empty list.
+    k1 * n / f hyperbola above the floor.  An empty range yields an empty
+    list.
     """
     if f_lo < 1:
         raise ValueError("range lower bound must be >= 1")
@@ -190,6 +195,6 @@ def sweep_curve(
         if mode == "quantized":
             elapsed = quantized_cost(FetchPlan(f, n), k)
         else:
-            elapsed = reciprocal_cost(n, f, k.k1)
+            elapsed = checked_total(reciprocal_cost(n, f, k.k1) + k.floor) if n else 0.0
         points.append(CurvePoint(f, elapsed))
     return points

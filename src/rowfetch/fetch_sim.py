@@ -282,30 +282,27 @@ def cost_constants(
     net: NetworkSpec,
     server: ServerSpec,
     driver: DriverSpec,
-    f: int,
 ) -> CostConstants:
-    """Derive the four-constant model from component parameters at size f.
+    """The simulator's exact law a * ceil(N/f) + C, as model constants.
 
-    k1 bundles everything a full trip pays: fixed per-trip overheads,
-    disk refills amortized at f/server_cache_size per trip, and f times
-    the per-record cost.  k4 is that per-record cost, k3 the fixed
-    per-trip share, and k2 has no component analog, so it is 0.  When
-    the server cache holds exactly f records the amortization is exact
-    and a jitter-free simulation matches quantized_cost to rounding.
-    The one-time hard parse has no slot in the model and is excluded.
+    a is what every trip pays whatever its size: request overhead, soft
+    parse and each hop's latency.  C is paid once: q * N for the per-record
+    costs q (search, bytes over each hop's effective bandwidth, field
+    conversion), the hard parse and ceil(N / server_cache_size) disk
+    refills; it is 0 when N = 0.  With k1 = k3 = a, k2 = k4 = 0 and floor C,
+    quantized_cost equals a jitter-free simulate_fetch total to rounding,
+    and at jitter > 0 it is that total's mean.
     """
-    if f < 1:
-        raise ValueError("prefetch size must be >= 1")
-    per_trip = (driver.request_overhead + server.soft_parse
-                + sum(h.base_latency for h in net.hops))
-    inverse_bw = sum(1.0 / (h.bandwidth * h.availability) for h in net.hops)
+    n = workload.total_records
+    a = checked_total(driver.request_overhead + server.soft_parse
+                      + sum(h.base_latency for h in net.hops))
     per_record = (server.per_record_search
-                  + workload.record_bytes * inverse_bw
+                  + workload.record_bytes * sum(1.0 / (h.bandwidth * h.availability)
+                                                for h in net.hops)
                   + len(workload.field_byte_sizes) * driver.per_field_conversion)
-    refill = server.disk_access_per_refill * (f / server.server_cache_size)
-    k1 = per_trip + refill + f * per_record
-    k3 = per_trip + refill
-    return CostConstants(k1, 0.0, k3, per_record)
+    floor = (per_record * n + server.hard_parse
+             + -(-n // server.server_cache_size) * server.disk_access_per_refill) if n else 0.0
+    return CostConstants(a, 0.0, a, 0.0, checked_total(floor))
 
 
 TRACE_HEADER = ("row_index", "elapsed_ms")

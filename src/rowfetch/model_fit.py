@@ -209,7 +209,6 @@ def write_fit_samples(samples: list[FitSample], path) -> None:
     if len({s.total_records for s in samples}) != 1:
         raise ValueError("samples must share one total_records value")
     with open(path, "w", newline="") as fh:
-        # The header and rows end in \r\n, the csv module's line end, so
-        # files stay byte-identical to those already written.
-        fh.write(f"# N={samples[0].total_records}\nf,elapsed_ms\r\n")
+        # Every line ends in \r\n, as in the trace and trip CSVs.
+        fh.write(f"# N={samples[0].total_records}\r\nf,elapsed_ms\r\n")
         fh.writelines(f"{s.prefetch_size},{s.total_elapsed!r}\r\n" for s in samples)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .core_model import (
     CostConstants,
@@ -26,8 +25,6 @@ from .core_model import (
 )
 
 DEFAULT_ZERO_RUN = 50
-
-CostSource = CostConstants | Callable[[int], CostConstants]
 
 
 @dataclass(frozen=True)
@@ -96,15 +93,14 @@ def check_memory(f: int, budget: MemoryBudget) -> tuple[bool, int]:
 def recommend(
     n: int,
     budget: MemoryBudget,
-    cost_source: CostSource,
+    k: CostConstants,
     *,
     zero_run: int = DEFAULT_ZERO_RUN,
 ) -> Recommendation:
     """Full tuning pass: threshold, minimal size, memory cap, prediction.
 
-    cost_source supplies the model constants used for the predicted
-    elapsed time: either a fixed CostConstants (a fitted model) or a
-    callable mapping the final f to constants (component-derived).
+    k prices the final size: the predicted elapsed time is
+    quantized_cost at that size.
     """
     threshold = threshold_prefetch(n, zero_run)
     optimal = optimal_prefetch(n, threshold)
@@ -125,7 +121,6 @@ def recommend(
     bytes_final = final * budget.record_bytes
     rationale.append(f"client cache at the recommended size: {bytes_final} "
                      f"of {budget.max_bytes} budget bytes")
-    k = cost_source(final) if callable(cost_source) else cost_source
     predicted = quantized_cost(FetchPlan(final, n), k)
     return Recommendation(threshold, final, trips, predicted, bytes_final, ok,
                           tuple(rationale))

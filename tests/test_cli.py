@@ -281,8 +281,7 @@ class TestSweep:
         assert [int(r[0]) for r in rows] == list(range(1, 13))
 
         cfg = load_config("baseline.cfg")
-        k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server,
-                                     cfg.driver, 10)
+        k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver)
         for f_text, elapsed_text, trips_text, slope_text in rows:
             f = int(f_text)
             expected = quantized_cost(FetchPlan(f, 502), k)
@@ -290,6 +289,22 @@ class TestSweep:
             assert int(trips_text) == round_trips(502, f)
             next_elapsed = quantized_cost(FetchPlan(f + 1, 502), k)
             assert float(slope_text) == expected - next_elapsed
+
+    @pytest.mark.parametrize("preset", ["baseline.cfg", "far_path.cfg", "near_path.cfg",
+                                        "tiny_result.cfg"])
+    def test_quantized_mode_is_sim_mode_at_zero_jitter(self, tmp_path, preset):
+        rows = {}
+        for mode in ("sim", "quantized"):
+            out = tmp_path / f"{mode}.tsv"
+            assert cli.main(["sweep", preset, "--f-range", "1:520", "--mode", mode,
+                             "--jitter", "0", "--out", str(out)]) == EXIT_OK
+            rows[mode] = [[float(x) for x in line.split("\t")]
+                          for line in out.read_text().splitlines()[1:]]
+        for sim, model in zip(rows["sim"], rows["quantized"], strict=True):
+            assert model[0::2] == sim[0::2]  # f and trips
+            assert model[1] == pytest.approx(sim[1], rel=1e-12)
+            # A slope is a difference of two such totals, so its error is theirs.
+            assert model[3] == pytest.approx(sim[3], rel=0.0, abs=1e-12 * sim[1])
 
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
     @pytest.mark.parametrize("lo, hi", [(1, 40), (250, 252)])  # 251 divides 502

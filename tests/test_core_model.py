@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -88,8 +89,9 @@ class TestQuantizedCost:
         expected = 10.0 * 3 + 1.0 * 3 + 5.0 + 2.0 * 1
         assert quantized_cost(FetchPlan(3, 10), k) == expected == 40.0
 
-    def test_empty_result_set_costs_nothing(self):
-        k = CostConstants(10.0, 1.0, 5.0, 2.0)
+    @pytest.mark.parametrize("k", [CostConstants(10.0, 1.0, 5.0, 2.0),
+                                   CostConstants(10.0, 1.0, 5.0, 2.0, floor=300.0)])
+    def test_empty_result_set_costs_nothing(self, k):
         assert quantized_cost(FetchPlan(7, 0), k) == 0.0
 
     def test_trip_term_equals_k1_times_trips_when_f_divides_n(self):
@@ -98,15 +100,16 @@ class TestQuantizedCost:
             k = CostConstants(31.25, 0.0, 0.0, 0.0)
             assert quantized_cost(FetchPlan(f, n), k) == 31.25 * round_trips(n, f)
 
-    def test_charging_residual_like_full_gives_k1_times_ceil(self):
+    @pytest.mark.parametrize("floor", [0.0, 300.0])
+    def test_charging_residual_like_full_gives_k1_times_ceil(self, floor):
         # With the residual trip priced at k1 as well, the total is the
-        # batch-consumption trip count times k1 for any n, f.
+        # batch-consumption trip count times k1, above the floor, for any n, f.
         k1 = 17.5
-        k = CostConstants(k1, 0.0, k1, 0.0)
+        k = CostConstants(k1, 0.0, k1, 0.0, floor)
         for n in range(1, 120):
             for f in range(1, n + 2):
                 assert quantized_cost(FetchPlan(f, n), k) == pytest.approx(
-                    k1 * consume_in_batches(n, f))
+                    k1 * consume_in_batches(n, f) + floor)
 
     def test_residual_terms_only_fire_on_leftover(self):
         k = CostConstants(0.0, 0.0, 7.0, 3.0)
@@ -119,6 +122,9 @@ class TestQuantizedCost:
             quantized_cost(FetchPlan(10, 502), k)
         with pytest.raises(ValueError, match="overflows"):
             reciprocal_cost(502, 10, 1e307)
+        with pytest.raises(ValueError, match="overflows"):  # a finite curve, but not with its floor
+            sweep_curve(502, 1, 1, CostConstants(1e305, 0.0, 0.0, 0.0, floor=1.7e308),
+                        mode="reciprocal")
 
 
 class TestReciprocalCost:
@@ -170,13 +176,14 @@ class TestSlopeTable:
 
 
 class TestSweepCurve:
-    def test_reciprocal_first_five_sizes(self):
-        points = sweep_curve(502, 1, 5, CostConstants(200.0, 0.0, 0.0, 0.0),
+    @pytest.mark.parametrize("floor", [0.0, 50.0])
+    def test_reciprocal_first_five_sizes(self, floor):
+        points = sweep_curve(502, 1, 5, CostConstants(200.0, 0.0, 0.0, 0.0, floor),
                              mode="reciprocal")
         assert [p.prefetch_size for p in points] == [1, 2, 3, 4, 5]
         expected = [100400.0, 50200.0, 502 / 3 * 200.0, 25100.0, 20080.0]
         for point, want in zip(points, expected):
-            assert point.elapsed == pytest.approx(want, rel=1e-12)
+            assert point.elapsed == pytest.approx(want + floor, rel=1e-12)
 
     def test_quantized_plateau_holds_value(self):
         k = CostConstants(400.0, 0.0, 400.0, 0.4)
@@ -191,8 +198,9 @@ class TestSweepCurve:
                              mode="reciprocal")
         assert all(a.elapsed > b.elapsed for a, b in zip(points, points[1:]))
 
-    def test_empty_workload_is_flat_zero(self):
-        k = CostConstants(10.0, 2.0, 5.0, 1.0)
+    @pytest.mark.parametrize("k", [CostConstants(10.0, 2.0, 5.0, 1.0),
+                                   CostConstants(10.0, 2.0, 5.0, 1.0, floor=300.0)])
+    def test_empty_workload_is_flat_zero(self, k):
         for mode in ("quantized", "reciprocal"):
             assert all(p.elapsed == 0.0 for p in sweep_curve(0, 1, 50, k, mode=mode))
 
@@ -233,6 +241,12 @@ class TestTypes:
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
             CostConstants(-1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("floor", [-1.0, math.inf, math.nan])
+    def test_constants_reject_bad_floor(self, floor):
+        with pytest.raises(FieldError) as exc:
+            CostConstants(1.0, 0.0, 1.0, 0.0, floor=floor)
+        assert exc.value.field == "floor"
 
     @pytest.mark.parametrize("spec", [
         CostConstants(1.0, 0.0, 2.0, 3.0),

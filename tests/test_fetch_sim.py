@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rowfetch import fetch_sim
-from rowfetch.core_model import FetchPlan, WorkloadSpec, quantized_cost, round_trips
+from rowfetch.core_model import FetchPlan, FieldError, WorkloadSpec, quantized_cost, round_trips
 from rowfetch.fetch_sim import (
     DriverSpec,
     HopSpec,
@@ -106,10 +106,6 @@ class TestTransportTime:
         with pytest.raises(ValueError, match="byte_count must be >= 0"):
             transport_time(-1, WAN)
 
-    def test_cost_constants_reject_zero_prefetch(self):
-        with pytest.raises(ValueError, match="prefetch size must be >= 1"):
-            cost_constants(WIDE, WAN, SERVER, DRIVER, 0)
-
 
 class TestSimulateFetch:
     def test_trip_count_and_batch_sizes(self):
@@ -162,15 +158,28 @@ class TestSimulateFetch:
         rhs = math.fsum(t.total_ms for t in trace.trip_log)
         assert lhs == rhs
 
-    def test_matches_component_derived_constants(self):
-        # With no hard parse and the server cache sized to the batch,
-        # the closed-form model reproduces the simulated total.
-        server = ServerSpec(soft_parse=3.0, per_record_search=0.05,
-                            server_cache_size=10, disk_access_per_refill=12.0)
-        trace = simulate_fetch(WIDE, WAN, server, DRIVER)
-        k = cost_constants(WIDE, WAN, server, DRIVER, 10)
-        predicted = quantized_cost(FetchPlan(10, 502), k)
-        assert trace.total_elapsed_ms == pytest.approx(predicted, rel=1e-9)
+    @pytest.mark.parametrize("cache", [1, 7, 10, 100, 501, 502, 10**6])
+    def test_matches_component_derived_constants(self, cache):
+        # With the hard parse and any server cache size, a * ceil(N/f) + C
+        # reproduces the simulated total at every f.
+        server = dataclasses.replace(SERVER, server_cache_size=cache)
+        k = cost_constants(WIDE, WAN, server, DRIVER)
+        assert (k.k1, k.k2, k.k3, k.k4) == (305.0, 0.0, 305.0, 0.0)
+        for f in (1, 3, 10, 100, 168, 251, 502, 600):
+            trace = simulate_fetch(WIDE, WAN, server, dataclasses.replace(DRIVER,
+                                                                          enforced_prefetch=f))
+            predicted = quantized_cost(FetchPlan(f, 502), k)
+            assert predicted == pytest.approx(trace.total_elapsed_ms, rel=1e-12)
+
+    @pytest.mark.parametrize("field, value", [("request_overhead", 1e308),
+                                              ("per_field_conversion", 1e306)])
+    def test_cost_constants_overflow_is_the_total_error(self, field, value):
+        # a or C past float64 is checked_total's error, not a FieldError naming floor.
+        driver = dataclasses.replace(DRIVER, **{field: value})
+        net = NetworkSpec.uniform(1, 600.0, 1e308)  # one finite hop; a needs both terms
+        with pytest.raises(ValueError, match="elapsed time overflows float64") as exc:
+            cost_constants(WIDE, net, SERVER, driver)
+        assert not isinstance(exc.value, FieldError)
 
     def test_doubling_hops_doubles_transport_exactly(self):
         near = NetworkSpec.uniform(1, 600.0, 120.0, 0.9)
@@ -430,6 +439,19 @@ class TestSimulatorProperties:
                 write_trace_csv(trace, samples_path, trips_path)
             for path_a, path_b in zip(*files):
                 assert path_a.read_bytes() == path_b.read_bytes()
+
+    @given(scenarios())
+    def test_model_is_the_simulator_at_zero_jitter(self, scenario):
+        # The drift guard: the closed-form constants reproduce every
+        # jitter-free total, and both are exactly 0.0 for an empty set.
+        workload, net, server, driver = scenario
+        f = effective_prefetch(driver)
+        for n in (workload.total_records, 0):
+            w = WorkloadSpec(n, workload.field_byte_sizes)
+            predicted = quantized_cost(FetchPlan(f, n), cost_constants(w, net, server, driver))
+            simulated = simulate_fetch(w, net, server, driver).total_elapsed_ms
+            assert predicted == pytest.approx(simulated, rel=1e-12, abs=0.0)
+        assert predicted == simulated == 0.0
 
     @given(scenarios(), seeds, jitters)
     def test_jittered_components_stay_within_band(self, scenario, seed, jitter):

@@ -275,6 +275,9 @@ class TestSamplesCsv:
         samples = make_samples()
         write_fit_samples(samples, path)
         assert read_fit_samples(path) == samples
+        raw = path.read_bytes()
+        assert raw.startswith(b"# N=502\r\nf,elapsed_ms\r\n")
+        assert raw.count(b"\n") == raw.count(b"\r\n")  # no bare \n line end
         first = path.read_text().splitlines()
         assert first[0] == "# N=502"
         assert first[1] == "f,elapsed_ms"

@@ -89,8 +89,13 @@ def test_sim_sweep_simulates_once_per_size(monkeypatch, tmp_path):
     assert [args[3].enforced_prefetch for args, _ in calls] == list(range(3, 11))
 
 
-def test_model_sweep_calibrates_once(monkeypatch, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["sweep", "baseline.cfg", "--f-range", "1:20", "--mode", "quantized"],
+    ["sweep", "baseline.cfg", "--f-range", "1:20", "--mode", "reciprocal"],
+    ["recommend", "baseline.cfg", "--budget-bytes", "1000000"],
+], ids=["sweep_quantized", "sweep_reciprocal", "recommend"])
+def test_model_sweep_calibrates_once(monkeypatch, tmp_path, argv):
     calls = counting(monkeypatch, fetch_sim, "cost_constants")
-    assert cli.main(["sweep", "baseline.cfg", "--f-range", "1:20", "--mode", "quantized",
-                     "--out", str(tmp_path / "sweep.tsv")]) == cli.EXIT_OK
+    out = ["--out", str(tmp_path / "sweep.tsv")] if argv[0] == "sweep" else []
+    assert cli.main(argv + out) == cli.EXIT_OK
     assert len(calls) == 1

@@ -138,17 +138,6 @@ class TestRecommend:
         assert rec.memory_at_optimal == 400_000
         assert any("caps" in line for line in rec.rationale)
 
-    def test_callable_cost_source_gets_final_size(self):
-        seen = []
-
-        def source(f):
-            seen.append(f)
-            return FLAT_K
-
-        budget = MemoryBudget(400_000, 4000)
-        recommend(502, budget, source)
-        assert seen == [100]
-
     def test_single_record_workload(self):
         rec = recommend(1, MemoryBudget(100, 10), FLAT_K)
         assert rec.threshold_f == 1
