@@ -80,8 +80,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    samples = trace_analysis.read_trace_samples(args.trace)
-    report = trace_analysis.analyze_trace(samples, median_ratio=args.median_ratio,
+    # The array is passed on, not kept, so it is freed before the JSON is built.
+    report = trace_analysis.analyze_trace(trace_analysis.read_trace_samples(args.trace),
+                                          median_ratio=args.median_ratio,
                                           sigma_k=args.sigma_k)
     # vars() is the shallow form of dataclasses.asdict, which would
     # deep-copy every peak row and gap one by one.

@@ -28,6 +28,9 @@ analysis functions accept that array or any sequence of pairs.  One
 rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
+The rule is checked a fixed block of rows at a time, so analysis holds
+the reader's 16 bytes per row plus O(peaks) data and 1-byte masks; the
+statistical rule adds one n-length float64 copy and numpy's std temporary.
 The median, mean and population stdev are computed in float64, on the
 values scaled by the power of two that brings the largest into [0.5, 1); only
 the mean over the peak rows (avg_trip_time) is exact: the exact sum divided
@@ -64,12 +67,18 @@ class PeakReport:
     confidence: float
 
 
+# Rows per block of the trace-rule check, whose temporaries stay this size.
+_BLOCK_ROWS = 1 << 16
+
+
 def _sample_array(samples: Samples) -> np.ndarray:
     """View samples as an (n, 2) float64 array, checked against the trace rule."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
-    if not (np.array_equal(samples[:, 0], np.arange(1, len(samples) + 1))
-            and np.isfinite(samples[:, 1]).all()):
-        raise ValueError("trace rows must be numbered 1..n with finite elapsed_ms")
+    for lo in range(0, len(samples), _BLOCK_ROWS):
+        block = samples[lo:lo + _BLOCK_ROWS]
+        if not (np.array_equal(block[:, 0], np.arange(lo + 1, lo + len(block) + 1))
+                and np.isfinite(block[:, 1]).all()):
+            raise ValueError("trace rows must be numbered 1..n with finite elapsed_ms")
     return samples
 
 
@@ -100,8 +109,17 @@ def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) ->
     The statistics are taken on the values scaled exactly by the power of two
     that brings the largest magnitude into [0.5, 1), so none overflows.
     """
-    scaled = np.ldexp(values, -np.frexp(max(values.max(), -values.min()))[1])
-    return scaled > max(median_ratio * np.median(scaled), scaled.mean() + sigma_k * scaled.std())
+    exponent = -np.frexp(max(values.max(), -values.min()))[1]
+    scaled = np.ldexp(values, exponent)
+    threshold = _scaled_threshold(scaled, median_ratio, sigma_k)
+    np.ldexp(values, exponent, out=scaled)  # undo the median's partition
+    return scaled > threshold
+
+
+def _scaled_threshold(scaled: np.ndarray, median_ratio: float, sigma_k: float) -> float:
+    """max(median_ratio * median, mean + sigma_k * stdev); partitions scaled in place."""
+    spread = scaled.mean() + sigma_k * scaled.std()
+    return max(median_ratio * np.median(scaled, overwrite_input=True), spread)
 
 
 def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
@@ -114,26 +132,35 @@ def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
     the offset of the first peak from row 1 (a batch's first blocking row
     sits one batch past the start, so that offset should equal the gap).
     """
-    rows = np.sort(np.fromiter(peaks, dtype=np.int64))
+    peaks = list(peaks)
+    rows = np.fromiter(peaks, dtype=np.int64, count=len(peaks))
+    rows.sort()
+    if set(map(type, peaks)) <= {int}:
+        peaks.sort()  # keeps the caller's int objects rather than making new ones
+    else:
+        peaks = rows.tolist()
+    peak_rows = tuple(peaks)
+    del peaks
     gaps = np.diff(rows)
     if len(rows) < 2:
-        return PeakReport(tuple(rows.tolist()), None, (), None, 0.0)
+        return PeakReport(peak_rows, None, (), None, 0.0)
     values, counts = np.unique(gaps, return_counts=True)
     modal = int(values[counts.argmax()])  # the first maximum is the smallest gap
     agreeing = int(np.count_nonzero(gaps == modal)) + (int(rows[0]) - 1 == modal)
-    return PeakReport(tuple(rows.tolist()), modal, tuple(gaps.tolist()), None,
-                      agreeing / len(rows))
+    return PeakReport(peak_rows, modal, tuple(gaps.tolist()), None, agreeing / len(rows))
 
 
 def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | None:
     """Mean elapsed over the peak rows, or None when none lies in the trace."""
     samples = _sample_array(samples)
-    rows = np.sort(np.fromiter(peaks, dtype=np.int64))
+    rows = np.fromiter(peaks, dtype=np.int64)
+    rows.sort()
     rows = rows[(rows >= 1) & (rows <= len(samples))]
     rows = rows[np.diff(rows, prepend=0) > 0]  # each row once
     if len(rows) == 0:
         return None
-    return _exact_mean(samples[rows - 1, 1])
+    rows -= 1
+    return _exact_mean(samples[rows, 1])
 
 
 def _exact_mean(values: np.ndarray) -> float:
@@ -147,12 +174,14 @@ def _exact_mean(values: np.ndarray) -> float:
     fractions, exponents = np.frexp(values)
     fractions *= 2.0**53
     mantissas = fractions.astype(np.int64)
+    del fractions
     base = int(exponents.min())
     exponents -= base
     high = np.zeros(int(exponents.max()) + 1, dtype=np.int64)
     low = np.zeros_like(high)
-    np.add.at(high, exponents, mantissas >> 26)
     np.add.at(low, exponents, mantissas & (2**26 - 1))
+    mantissas >>= 26
+    np.add.at(high, exponents, mantissas)
     total = sum(((h << 26) + lo) << e
                 for e, (h, lo) in enumerate(zip(high.tolist(), low.tolist())))
     shift = base - 53  # the mean is total * 2**shift / len(values)
@@ -165,10 +194,11 @@ def analyze_trace(
     median_ratio: float = 10.0,
     sigma_k: float = 3.0,
 ) -> PeakReport:
-    """Full pipeline: detect peaks, infer the prefetch size, average them."""
+    """Full pipeline: detect peaks, average them, infer the prefetch size."""
     peaks = detect_peaks(samples, median_ratio=median_ratio, sigma_k=sigma_k)
-    report = infer_effective_prefetch(peaks)
-    return replace(report, avg_trip_time=avg_trip_time_from_trace(samples, peaks))
+    # Averaged first, so its temporaries are gone before the report's tuples exist.
+    avg_trip_time = avg_trip_time_from_trace(samples, peaks)
+    return replace(infer_effective_prefetch(peaks), avg_trip_time=avg_trip_time)
 
 
 # np.loadtxt opens a path ending in one of these as a compressed file.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import json
 import math
 import random
 import socket
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from rowfetch import cli
 from rowfetch.core_model import FieldError, WorkloadSpec, round_trips
 from rowfetch.fetch_sim import (
     DriverSpec,
@@ -29,9 +31,12 @@ from rowfetch.fetch_sim import (
     write_trace_csv,
 )
 from rowfetch.trace_analysis import (
+    _BLOCK_ROWS,
     PeakReport,
     TraceFormatError,
+    _above_threshold,
     _number,
+    _scaled_threshold,
     analyze_trace,
     avg_trip_time_from_trace,
     detect_peaks,
@@ -70,6 +75,11 @@ def reference_infer(peaks):
     evidence = list(gaps) + [rows[0] - 1]
     confidence = sum(1 for g in evidence if g == modal) / len(evidence)
     return PeakReport(tuple(rows), modal, gaps, None, confidence)
+
+
+def reference_threshold(scaled, median_ratio, sigma_k):
+    """The peak threshold as taken when np.median made its own copy of scaled."""
+    return max(median_ratio * np.median(scaled), scaled.mean() + sigma_k * scaled.std())
 
 
 def reference_analyze(samples, median_ratio=10.0, sigma_k=3.0):
@@ -175,6 +185,33 @@ class TestDetectPeaks:
         assert report.inferred_prefetch == 37
         assert report.confidence == 0.5
 
+    FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+    @example([5e-324, 1e-320, -5e-324, 0.0], 10.0, 3.0)  # subnormals only
+    @example([DBL_MAX, -DBL_MAX, 1.0], 1.0, 0.0)
+    @example([-7.5] * 5, 1.0, 0.0)  # all equal
+    @example([5.9, 1.3, 9.2, 4.7], 0.0, 3.0)  # sorted first, the stdev sums round differently
+    @given(st.one_of(
+               st.lists(FINITE | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                                   2.2250738585072014e-308, DBL_MAX, -DBL_MAX]),
+                        min_size=1, max_size=60),
+               st.builds(lambda value, n: [value] * n, FINITE, st.integers(1, 9))),
+           st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 100.0),
+           st.sampled_from([0.0, 3.0]) | st.floats(0.0, 10.0))
+    def test_threshold_matches_the_copying_formula(self, values, median_ratio, sigma_k):
+        # The median now partitions the scaled copy in place, which is then
+        # refilled for the comparison.  The threshold and the mask must be
+        # the old formula's, bit for bit, and the caller's column untouched.
+        samples = np.column_stack((np.arange(1.0, len(values) + 1), values))
+        before = samples.tobytes()
+        column = samples[:, 1]
+        scaled = np.ldexp(column, -np.frexp(max(column.max(), -column.min()))[1])
+        expected = reference_threshold(scaled, median_ratio, sigma_k)
+        got = _scaled_threshold(scaled.copy(), median_ratio, sigma_k)
+        assert float(got).hex() == float(expected).hex()
+        assert np.array_equal(_above_threshold(column, median_ratio, sigma_k), scaled > expected)
+        assert samples.tobytes() == before
+
     def test_threshold_knobs_are_live(self):
         # One modest bump over a noisy floor: invisible at the default
         # ratio, found when both knobs are relaxed.
@@ -239,6 +276,44 @@ class TestTraceRule:
         assert peak < 12 * 2**20
 
 
+class TestTraceRuleAtBlockEdges:
+    """The trace rule is checked _BLOCK_ROWS rows at a time; no fault hides at a block edge."""
+
+    B = _BLOCK_ROWS
+    # (n, position of the bad row): the last row of a lone partial block,
+    # the last row of a full block, and the first row of a second, partial block.
+    CASES = [(B - 1, B - 2), (B, B - 1), (B + 1, B - 1), (B + 1, B)]
+
+    @staticmethod
+    def trace(n: int) -> np.ndarray:
+        rows = np.arange(1.0, n + 1)
+        return np.column_stack((rows, np.where(rows % 10 == 0, 400.0, 0.0)))
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1])
+    def test_intact_trace_passes(self, n):
+        samples = self.trace(n)
+        assert detect_peaks(samples) == list(range(10, n + 1, 10))
+        assert avg_trip_time_from_trace(samples, [10]) == 400.0
+
+    @pytest.mark.parametrize("n, bad", CASES)
+    @pytest.mark.parametrize("fault", ["row_index", "nan", "inf"])
+    def test_fault_is_found(self, tmp_path, n, bad, fault):
+        samples = self.trace(n)
+        if fault == "row_index":
+            samples[bad, 0] += 1
+        else:
+            samples[bad, 1] = float(fault)
+        with pytest.raises(ValueError):
+            detect_peaks(samples)
+        with pytest.raises(ValueError):
+            avg_trip_time_from_trace(samples, [10])
+        path = tmp_path / "trace.csv"
+        path.write_text("row_index,elapsed_ms\n"
+                        + "".join(f"{row:.0f},{ms!r}\n" for row, ms in samples.tolist()))
+        with pytest.raises(TraceFormatError, match=f"trace.csv:{bad + 2}: "):
+            read_trace_samples(path)
+
+
 class TestMatchesTupleReference:
     KNOBS = ({}, {"median_ratio": 3.0, "sigma_k": 2.0}, {"median_ratio": 1.5, "sigma_k": 0.5})
 
@@ -297,6 +372,17 @@ class TestInferEffectivePrefetch:
         report = infer_effective_prefetch([])
         assert report.inferred_prefetch is None
         assert report.confidence == 0.0
+
+    def test_peak_rows_reuse_the_callers_ints(self):
+        # Rows above the small-int cache, so each is its own object.
+        peaks = [10**6 + 1, 10**6 + 11, 10**6 + 21]
+        report = infer_effective_prefetch(reversed(peaks))
+        assert all(row is peak for row, peak in zip(report.peak_rows, peaks))
+        # Anything else np.int64 accepts still comes back as plain ints.
+        for given in (np.array(peaks), [True, np.int64(5), 9.7]):
+            rows = infer_effective_prefetch(given).peak_rows
+            assert rows == tuple(np.array(given, dtype=np.int64).tolist())
+            assert all(type(row) is int for row in rows)
 
     @example([])
     @example([7])
@@ -456,22 +542,42 @@ class TestTraceCsvReader:
             warnings.simplefilter("error")
             assert read_trace_samples(path).shape == (0, 2)
 
-    def test_reader_memory_is_columnar(self, tmp_path):
-        # 200,000 rows as (int, float) tuples take over 20 MB; as two
-        # float64 columns they take 3.2 MB.
+    # 200,000 rows as (int, float) tuples take over 20 MB; as two float64
+    # columns they take 3.2 MB, and reading or analyzing them holds that
+    # array plus fixed-size blocks and O(peaks) data.
+    BIG_ROWS = 200_000
+    MEMORY_BOUND = 1.5 * BIG_ROWS * 16
+
+    @pytest.fixture
+    def big_trace(self, tmp_path):
         path = tmp_path / "big.csv"
         with open(path, "w") as fh:
             fh.write("row_index,elapsed_ms\n")
             fh.writelines(f"{row},{0.0 if row % 37 != 1 else 457.1234567891234!r}\n"
-                          for row in range(1, 200_001))
+                          for row in range(1, self.BIG_ROWS + 1))
+        return path
+
+    def test_reader_memory_is_columnar(self, big_trace):
         tracemalloc.start()
         try:
-            samples = read_trace_samples(path)
+            samples = read_trace_samples(big_trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
-        assert samples.shape == (200_000, 2)
+        assert peak < self.MEMORY_BOUND
+        assert samples.shape == (self.BIG_ROWS, 2)
+
+    def test_analyze_memory_is_the_reader_array(self, big_trace, capsys):
+        tracemalloc.start()
+        try:
+            assert cli.main(["analyze", str(big_trace)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.MEMORY_BOUND
+        report = json.loads(capsys.readouterr().out)
+        assert report["inferred_prefetch"] == 37
+        assert report["peak_rows"] == list(range(1, self.BIG_ROWS + 1, 37))
 
     def test_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
