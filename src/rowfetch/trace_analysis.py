@@ -133,13 +133,10 @@ def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
     sits one batch past the start, so that offset should equal the gap).
     """
     peaks = list(peaks)
-    rows = np.fromiter(peaks, dtype=np.int64, count=len(peaks))
-    rows.sort()
-    if set(map(type, peaks)) <= {int}:
-        peaks.sort()  # keeps the caller's int objects rather than making new ones
-    else:
-        peaks = rows.tolist()
-    peak_rows = tuple(peaks)
+    # Cast to int64 before int() runs, so every input fails as it always has.
+    rows = np.sort(np.fromiter(peaks, dtype=np.int64, count=len(peaks)))
+    # int() returns an exact int itself, so the caller's objects are reused.
+    peak_rows = tuple(sorted(map(int, peaks)))
     del peaks
     gaps = np.diff(rows)
     if len(rows) < 2:
@@ -153,14 +150,12 @@ def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
 def avg_trip_time_from_trace(samples: Samples, peaks: Iterable[int]) -> float | None:
     """Mean elapsed over the peak rows, or None when none lies in the trace."""
     samples = _sample_array(samples)
-    rows = np.fromiter(peaks, dtype=np.int64)
-    rows.sort()
+    rows = np.sort(np.fromiter(peaks, dtype=np.int64))
     rows = rows[(rows >= 1) & (rows <= len(samples))]
     rows = rows[np.diff(rows, prepend=0) > 0]  # each row once
     if len(rows) == 0:
         return None
-    rows -= 1
-    return _exact_mean(samples[rows, 1])
+    return _exact_mean(samples[rows - 1, 1])
 
 
 def _exact_mean(values: np.ndarray) -> float:
@@ -174,14 +169,12 @@ def _exact_mean(values: np.ndarray) -> float:
     fractions, exponents = np.frexp(values)
     fractions *= 2.0**53
     mantissas = fractions.astype(np.int64)
-    del fractions
     base = int(exponents.min())
     exponents -= base
     high = np.zeros(int(exponents.max()) + 1, dtype=np.int64)
     low = np.zeros_like(high)
+    np.add.at(high, exponents, mantissas >> 26)
     np.add.at(low, exponents, mantissas & (2**26 - 1))
-    mantissas >>= 26
-    np.add.at(high, exponents, mantissas)
     total = sum(((h << 26) + lo) << e
                 for e, (h, lo) in enumerate(zip(high.tolist(), low.tolist())))
     shift = base - 53  # the mean is total * 2**shift / len(values)

@@ -384,6 +384,19 @@ class TestInferEffectivePrefetch:
             assert rows == tuple(np.array(given, dtype=np.int64).tolist())
             assert all(type(row) is int for row in rows)
 
+    @pytest.mark.parametrize("peaks, error", [
+        ([np.array([5])], ValueError),  # int() alone would raise TypeError, or accept it
+        ([float("nan")], ValueError),
+        ([float("inf")], OverflowError),
+        ([2**63], OverflowError),
+        ([None], TypeError),
+    ])
+    def test_rejects_what_int64_rejects(self, peaks, error):
+        with pytest.raises(error):
+            np.fromiter(peaks, dtype=np.int64)
+        with pytest.raises(error):
+            infer_effective_prefetch(peaks)
+
     @example([])
     @example([7])
     @example([1, 10**15])  # one gap far too wide to count with a dense array
