@@ -10,6 +10,12 @@ samples file or flag value), 4 model error (unfittable or untunable
 data).  The ROWFETCH_SEED environment variable overrides the config
 seed; a --seed flag overrides both.  Same inputs and seed always produce
 byte-identical outputs.
+
+Only simulate, analyze and sim-mode sweep build arrays, and only they
+import numpy: fetch_sim imports it inside the functions that build
+arrays, and trace_analysis and model_fit (whose exact arithmetic the
+array commands do not need) are imported inside the commands that use
+them.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import fetch_sim, model_fit, trace_analysis, tuner
+from . import fetch_sim, tuner
 from .config import ConfigError, RunConfig, load_config
-from .core_model import FieldError, round_trips, sweep_curve
+from .core_model import FieldError, InputError, round_trips, sweep_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +86,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import trace_analysis
+
     # The array is passed on, not kept, so it is freed before the JSON is built.
     report = trace_analysis.analyze_trace(trace_analysis.read_trace_samples(args.trace),
                                           median_ratio=args.median_ratio,
@@ -123,6 +131,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import model_fit
+
     samples = model_fit.read_fit_samples(args.samples)
     result = model_fit.fit_cost_model(samples)
     print(json.dumps(vars(result)))
@@ -197,8 +207,7 @@ def main(argv=None) -> int:
         flag = _FLAG_OF.get(exc.field)
         print(f"error: {flag}: {exc.rule}" if flag else f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if flag else EXIT_MODEL
-    except (ConfigError, trace_analysis.TraceFormatError, model_fit.SampleFormatError,
-            OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -32,11 +32,11 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .core_model import FieldError, WorkloadSpec, require
+from .core_model import FieldError, InputError, WorkloadSpec, require
 from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec, transport_time
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     def __init__(self, key: str, message: str):
         self.key = key
         super().__init__(f"{key}: {message}")

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+class InputError(ValueError):
+    """Malformed input from outside the program: a config, trace or samples file, or a flag."""
+
+
 class FieldError(ValueError):
     """A spec field outside its domain; .field names the dataclass field."""
 

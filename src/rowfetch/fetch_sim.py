@@ -23,18 +23,22 @@ are nonzero, so the per-row samples are rebuilt from the columns on request
 and a simulation costs O(trips), not O(rows).  The trace CSV is written in
 blocks of rows, each built as one byte array from the row numbers and the
 repr of its few nonzero values.
+
+numpy is imported by the functions that build arrays, not by the module,
+so specs, configs and cost_constants load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core_model import (CostConstants, WorkloadSpec, checked_total, finite_nonneg, require,
                          round_trips)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,8 @@ class LatencyTrace:
     def _first_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # Each batch's first row, from 1, and the time it shows: its trip's
         # total, but 0.0 on row 1, whose trip the execute call pays.
+        import numpy as np
+
         rows = np.cumsum(self.records) - self.records + 1
         shown = self.totals.copy()
         shown[:1] = 0.0
@@ -175,6 +181,8 @@ class LatencyTrace:
         """Every (row_index, elapsed_ms) row, as the (n, 2) float64 array
         read_trace_samples returns for this trace's CSV; built each time
         it is read."""
+        import numpy as np
+
         samples = np.zeros((self.total_records, 2))
         samples[:, 0] = np.arange(1, self.total_records + 1)
         rows, shown = self._first_rows()
@@ -201,7 +209,8 @@ def transport_time(byte_count, net: NetworkSpec):
     bandwidth, where availability scales the bandwidth down.  No hops
     means no transport cost.  byte_count may also be a numpy array.
     """
-    if np.any(byte_count < 0):
+    negative = byte_count < 0
+    if negative.any() if hasattr(negative, "any") else negative:
         raise ValueError("byte_count must be >= 0")
     total = 0.0
     for hop in net.hops:
@@ -230,6 +239,7 @@ def simulate_fetch(
         raise ValueError("workload records carry zero bytes; nothing to transport")
     if not 0 <= jitter <= 1:
         raise ValueError("jitter must be in [0, 1]")
+    import numpy as np
 
     f = effective_prefetch(driver)
     n = workload.total_records
@@ -319,6 +329,8 @@ def _trace_blocks(trace: LatencyTrace) -> Iterator[np.ndarray]:
     repr of the value _first_rows shows as their value field, and dropping
     the NULs leaves the CSV text, so no row is formatted on its own.
     """
+    import numpy as np
+
     rows, shown = trace._first_rows()
     n = trace.total_records
     digits = len(str(n))

@@ -9,6 +9,12 @@ so ordinary least squares recovers (k1..k4).  Physical constants cannot
 be negative, so the fit is the exact non-negative least-squares optimum:
 the best non-negative solve over every subset of the basis columns.
 
+The fit is solved exactly over the rationals.  The basis entries are
+integers and every elapsed time is an integer over a power of two, so
+the normal equations are summed once as Python ints, O(samples) work,
+and each subset is solved in Fractions.  Each constant, and the residual
+RMS at the printed constants, is then rounded to float64 once.
+
 Identifiability caveats handled here rather than silently mis-reported:
 
 * fewer than four samples or four distinct sizes cannot determine four
@@ -22,19 +28,20 @@ Identifiability caveats handled here rather than silently mis-reported:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-import numpy as np
-
-from .core_model import CostConstants, finite_nonneg, require
+from .core_model import CostConstants, InputError, finite_nonneg, require
 
 BASIS_NAMES = ("full_trips", "prefetch_size", "residual_trip", "residual_records")
 CONDITION_WARN_AT = 1e8
 
 
-class SampleFormatError(ValueError):
+class SampleFormatError(InputError):
     """A samples file that does not follow the f,elapsed_ms format."""
 
 
@@ -76,45 +83,129 @@ class FitResult:
         return CostConstants(self.k1, self.k2, self.k3 or 0.0, self.k4 or 0.0)
 
 
-def _collinear_columns(design: np.ndarray, names: tuple[str, ...]) -> list[str]:
-    """Columns adding no rank to those before them: none iff full column rank."""
+def _gram(columns: list[list[int]]) -> list[list[int]]:
+    """X^T X of the integer design whose columns are given."""
+    return [[sum(map(mul, a, b)) for b in columns] for a in columns]
+
+
+def _solve(matrix, rhs) -> list[Fraction]:
+    """x with matrix @ x == rhs, exactly, for a positive definite matrix.
+
+    Gaussian elimination needs no pivoting here: every pivot of a
+    positive definite matrix is positive.
+    """
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    width = len(rows)
+    for p in range(width):
+        for row in rows[p + 1:]:
+            factor = row[p] / rows[p][p]
+            for c in range(p, width + 1):
+                row[c] -= factor * rows[p][c]
+    x: list[Fraction] = []
+    for p in reversed(range(width)):
+        x.insert(0, (rows[p][width] - sum(map(mul, rows[p][p + 1:width], x))) / rows[p][p])
+    return x
+
+
+def _collinear_columns(gram: list[list[int]], names: tuple[str, ...]) -> list[str]:
+    """Columns adding no rank to those before them: none iff full column rank.
+
+    A column adds rank when its Gram entry exceeds what the kept columns
+    explain of it, the Schur complement g_cc - g_k^T G_k^-1 g_k, exactly.
+    """
     kept: list[int] = []
     guilty = []
-    for col in range(design.shape[1]):
-        candidate = design[:, kept + [col]]
-        if np.linalg.matrix_rank(candidate) == len(kept) + 1:
+    for col in range(len(gram)):
+        within = [gram[col][k] for k in kept]
+        explained = sum(map(mul, within, _solve([[gram[i][j] for j in kept] for i in kept],
+                                                within)))
+        if gram[col][col] > explained:
             kept.append(col)
         else:
             guilty.append(names[col])
     return guilty
 
 
-def _solve_nonnegative(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _solve_nonnegative(gram: list[list[int]], xty: list[Fraction]) -> list[Fraction]:
     """Exact non-negative least squares, by trying every column subset.
 
     The optimum is the unconstrained solve on some subset (Lawson &
-    Hanson 1974), so the best feasible subset solve is exact.
+    Hanson 1974), so the feasible subset solve with the least residual
+    y^T y - xty^T x is exact, and unique for a positive definite gram.
     """
-    width = design.shape[1]
-    feasible = [np.zeros(width)]
+    width = len(gram)
+    best, best_gain = [Fraction(0)] * width, Fraction(0)  # the empty subset
     for size in range(width, 0, -1):
-        for cols in map(list, combinations(range(width), size)):
-            sol, *_ = np.linalg.lstsq(design[:, cols], y, rcond=None)
-            if (sol >= -1e-12).all():
-                coef = np.zeros(width)
-                coef[cols] = np.clip(sol, 0.0, None)
-                if size == width:  # already non-negative: keep it bit for bit
-                    return coef
-                feasible.append(coef)
-    return min(feasible, key=lambda coef: _rms(design @ coef - y))
+        for cols in combinations(range(width), size):
+            sol = _solve([[gram[i][j] for j in cols] for i in cols], [xty[i] for i in cols])
+            if min(sol) < 0:
+                continue
+            coef = [Fraction(0)] * width
+            for col, value in zip(cols, sol):
+                coef[col] = value
+            if size == width:  # the unconstrained optimum is non-negative
+                return coef
+            gain = sum(map(mul, xty, coef))
+            if gain > best_gain:
+                best, best_gain = coef, gain
+    return best
 
 
-def _rms(residuals: np.ndarray) -> float:
-    """Root mean square, finite for finite residuals: they are squared after
-    an exact scaling by the power of two that brings the largest into [0.5, 1)."""
-    exponent = int(np.frexp(np.abs(residuals).max())[1])
-    scaled = np.ldexp(residuals, -exponent)
-    return float(np.ldexp(np.sqrt(np.mean(scaled ** 2)), exponent))
+def _log_largest_eigenvalue(matrix) -> float:
+    """ln of the largest eigenvalue of a symmetric positive definite matrix.
+
+    trace(A**p)**(1/p) falls to the largest eigenvalue as p grows, within
+    a factor w**(1/p) for w columns.  A is scaled to unit trace exactly,
+    then squared 64 times in float64, back to unit trace after each
+    squaring, with the logs of the traces summed at weight 1/p.
+    """
+    trace = sum(Fraction(matrix[i][i]) for i in range(len(matrix)))
+    log = math.log(trace.numerator) - math.log(trace.denominator)
+    a = [[float(v / trace) for v in row] for row in matrix]
+    for k in range(1, 65):
+        a = [[sum(map(mul, row, col)) for col in zip(*a)] for row in a]
+        t = sum(a[i][i] for i in range(len(a)))
+        log += math.log(t) / 2**k
+        a = [[v / t for v in row] for row in a]
+    return log
+
+
+def _condition(gram: list[list[int]]) -> float:
+    """The design's 2-norm condition number from its exact Gram matrix G.
+
+    It is sqrt(lmax(G) * lmax(G^-1)); both largest eigenvalues are
+    accurate to float64 however ill-conditioned G is, where the smallest
+    eigenvalue of G would carry an error of eps * lmax(G).
+    """
+    width = len(gram)
+    inverse_columns = [_solve(gram, [int(i == j) for i in range(width)]) for j in range(width)]
+    return math.exp((_log_largest_eigenvalue(gram)
+                     + _log_largest_eigenvalue(inverse_columns)) / 2)
+
+
+def _round(q: Fraction) -> float:
+    """q rounded once to float64; inf past its range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt(q: Fraction) -> float:
+    """The float64 nearest sqrt(q) for a rational q >= 0, rounded once.
+
+    q is scaled by the power of four 4**k that gives its integer square
+    root at least 55 bits.  An inexact root then gets a sticky low bit, so
+    the one rounding of root / 2**k is the rounding of sqrt(q).
+    """
+    if not q:
+        return 0.0
+    num, den = q.numerator, q.denominator
+    k = (112 - num.bit_length() + den.bit_length()) // 2
+    whole, rem = divmod(num << 2 * k, den) if k >= 0 else divmod(num, den << -2 * k)
+    root = math.isqrt(whole)
+    root, k = 2 * root + (rem != 0 or root * root != whole), k + 1
+    return _round(Fraction(root, 1 << k) if k >= 0 else Fraction(root << -k))
 
 
 def fit_cost_model(samples: list[FitSample]) -> FitResult:
@@ -129,30 +220,42 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
     n = n_values.pop()
 
     sizes = [s.prefetch_size for s in samples]
-    design = np.array([[n // f, f, 1.0 if n % f else 0.0, n % f] for f in sizes], dtype=float)
-    y = np.array([s.total_elapsed for s in samples])
+    residuals = [n % f for f in sizes]
+    columns = [[n // f for f in sizes], sizes, [int(r > 0) for r in residuals], residuals]
 
     warnings: list[str] = []
-    if not design[:, 3].any():
+    if not any(residuals):
         # Every sample divides N evenly: the residual columns carry no
         # information, so only k1/k2 can be estimated.
         warnings.append("k3/k4 unidentifiable: every sample has N mod f == 0")
-        design = design[:, :2]
+        columns = columns[:2]
 
-    if guilty := _collinear_columns(design, BASIS_NAMES):
+    gram = _gram(columns)
+    if guilty := _collinear_columns(gram, BASIS_NAMES):
         raise FitError("design matrix is rank-deficient; collinear columns: "
                        + ", ".join(guilty))
 
-    condition = float(np.linalg.cond(design))
+    condition = _condition(gram)
     condition_warning = condition > CONDITION_WARN_AT
     if condition_warning:
         warnings.append(f"ill-conditioned design matrix (condition {condition:.3g})")
 
-    coef = _solve_nonnegative(design, y)
-    residual_rms = _rms(design @ coef - y)
+    # Every elapsed time is ys[i] / scale exactly, scale a power of two.
+    ratios = [s.total_elapsed.as_integer_ratio() for s in samples]
+    scale = max(q for _, q in ratios)
+    ys = [p * (scale // q) for p, q in ratios]
+    xty = [Fraction(sum(map(mul, col, ys)), scale) for col in columns]
+
+    coef = [_round(x) for x in _solve_nonnegative(gram, xty)]
     unfitted = 4 - len(coef)
     CostConstants(*coef, *[0.0] * unfitted)  # a non-finite constant fails here, named
-    return FitResult(*coef, *[None] * unfitted, residual_rms, len(samples),
+    # The residual sum of squares at the printed constants k, exactly:
+    # y^T y - 2 k^T X^T y + k^T G k.
+    k = [Fraction(c) for c in coef]
+    gk = [sum(map(mul, row, k)) for row in gram]
+    rss = (Fraction(sum(map(mul, ys, ys)), scale * scale) - 2 * sum(map(mul, k, xty))
+           + sum(map(mul, k, gk)))
+    return FitResult(*coef, *[None] * unfitted, _sqrt(rss / len(samples)), len(samples),
                      condition_warning, tuple(warnings))
 
 

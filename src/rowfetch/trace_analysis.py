@@ -30,7 +30,8 @@ rule holds for every trace, read or in memory: row indices are exactly
 peaks are found and read by position.  An empty trace has no peaks.
 The rule is checked a fixed block of rows at a time, so analysis holds
 the reader's 16 bytes per row plus O(peaks) data and 1-byte masks; the
-statistical rule adds one n-length float64 copy and numpy's std temporary.
+statistical rule adds one n-length float64 copy, in which the stdev and
+the median are taken in turn.
 The median, mean and population stdev are computed in float64, on the
 values scaled by the power of two that brings the largest into [0.5, 1); only
 the mean over the peak rows (avg_trip_time) is exact: the exact sum divided
@@ -47,12 +48,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import finite_nonneg, require
+from .core_model import InputError, finite_nonneg, require
 
 Samples = np.ndarray | Sequence[tuple[int, float]]
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(InputError):
     """A trace CSV that does not follow the row_index,elapsed_ms format."""
 
 
@@ -71,9 +72,14 @@ class PeakReport:
 _BLOCK_ROWS = 1 << 16
 
 
+def _as_array(samples: Samples) -> np.ndarray:
+    """View samples as an (n, 2) float64 array; an array of that shape is returned as is."""
+    return np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+
+
 def _sample_array(samples: Samples) -> np.ndarray:
     """View samples as an (n, 2) float64 array, checked against the trace rule."""
-    samples = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    samples = _as_array(samples)
     for lo in range(0, len(samples), _BLOCK_ROWS):
         block = samples[lo:lo + _BLOCK_ROWS]
         if not (np.array_equal(block[:, 0], np.arange(lo + 1, lo + len(block) + 1))
@@ -107,19 +113,29 @@ def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) ->
     """Mask of the values above max(median_ratio * median, mean + sigma_k * stdev).
 
     The statistics are taken on the values scaled exactly by the power of two
-    that brings the largest magnitude into [0.5, 1), so none overflows.
+    that brings the largest magnitude into [0.5, 1), so none overflows.  They
+    all work in one scaled copy, refilled after the stdev and the median.
     """
     exponent = -np.frexp(max(values.max(), -values.min()))[1]
     scaled = np.ldexp(values, exponent)
-    threshold = _scaled_threshold(scaled, median_ratio, sigma_k)
+    mean = scaled.mean()
+    spread = mean + sigma_k * _std_in_place(scaled, mean)
+    np.ldexp(values, exponent, out=scaled)
+    median = np.median(scaled, overwrite_input=True)
     np.ldexp(values, exponent, out=scaled)  # undo the median's partition
-    return scaled > threshold
+    return scaled > max(median_ratio * median, spread)
 
 
-def _scaled_threshold(scaled: np.ndarray, median_ratio: float, sigma_k: float) -> float:
-    """max(median_ratio * median, mean + sigma_k * stdev); partitions scaled in place."""
-    spread = scaled.mean() + sigma_k * scaled.std()
-    return max(median_ratio * np.median(scaled, overwrite_input=True), spread)
+def _std_in_place(x: np.ndarray, mean: np.floating) -> np.floating:
+    """x.std() bit for bit, given mean = x.mean(), overwriting x.
+
+    These are numpy's own steps for the population stdev (_var): subtract
+    the mean, square, add.reduce's pairwise sum, divide by n, square root;
+    only the n-length temporary is x itself.
+    """
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return np.sqrt(np.add.reduce(x) / len(x))
 
 
 def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
@@ -188,6 +204,7 @@ def analyze_trace(
     sigma_k: float = 3.0,
 ) -> PeakReport:
     """Full pipeline: detect peaks, average them, infer the prefetch size."""
+    samples = _as_array(samples)  # a sequence of pairs is converted once
     peaks = detect_peaks(samples, median_ratio=median_ratio, sigma_k=sigma_k)
     # Averaged first, so its temporaries are gone before the report's tuples exist.
     avg_trip_time = avg_trip_time_from_trace(samples, peaks)

@@ -61,13 +61,26 @@ def config_file(tmp_path, overrides=None, drop=(), name="run.cfg") -> str:
     return str(path)
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """`rowfetch ARGS...` in a child process, killed after 20 s so a hang fails."""
+# The samples of the README's fit example, N = 502.
+README_SAMPLES = ((5, 46136.4), (10, 23236.4), (25, 9496.4), (60, 4304.4),
+                  (100, 2626.4), (150, 2470.4), (168, 3745.2))
+
+# Any import of numpy in a child process started with this prelude fails.
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c CODE ARGS...` with rowfetch importable, killed after 20 s so a hang fails."""
     src = str(Path(rowfetch.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "rowfetch.cli", *args], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=20)
+
+
+def run_cli(*args: str, prelude: str = "") -> subprocess.CompletedProcess:
+    """`rowfetch ARGS...` in a child process that first runs prelude."""
+    return run_python(prelude + "from rowfetch.cli import run; run()", *args)
 
 
 def simulate(tmp_path, config, stem="trace", extra=()):
@@ -383,11 +396,9 @@ class TestFit:
 
     def test_samples_near_float64_top_print_strict_json(self, tmp_path):
         # The README's samples times 2**1000: squared residuals overflow.
-        readme = ((5, 46136.4), (10, 23236.4), (25, 9496.4), (60, 4304.4),
-                  (100, 2626.4), (150, 2470.4), (168, 3745.2))
         path = tmp_path / "samples.csv"
         path.write_text("# N=502\nf,elapsed_ms\n" + "".join(
-            f"{f},{ms * 2.0**1000!r}\n" for f, ms in readme))
+            f"{f},{ms * 2.0**1000!r}\n" for f, ms in README_SAMPLES))
         done = run_cli("fit", str(path))
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
 
@@ -441,6 +452,43 @@ class TestFit:
         path = tmp_path / "samples.csv"
         path.write_text("f,elapsed_ms\n10,100.0\n")
         assert cli.main(["fit", str(path)]) == EXIT_INPUT
+
+
+class TestNumpyFreeCommands:
+    """Only the commands that build arrays import numpy."""
+
+    @pytest.mark.parametrize("command", ["recommend", "fit", "sweep_quantized",
+                                         "sweep_reciprocal"])
+    def test_runs_and_prints_the_same_with_numpy_blocked(self, tmp_path, command):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("# N=502\nf,elapsed_ms\n"
+                           + "".join(f"{f},{ms!r}\n" for f, ms in README_SAMPLES))
+        argv = (["fit", str(samples)] if command == "fit"
+                else command_args(tmp_path, command, "baseline.cfg"))
+        outputs = []
+        for prelude in (BLOCK_NUMPY, ""):
+            done = run_cli(*argv, prelude=prelude)
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
+            sweep = tmp_path / "s.tsv"
+            outputs.append((done.stdout, sweep.read_bytes() if sweep.exists() else None))
+        assert outputs[0] == outputs[1]
+
+    def test_root_imports_with_numpy_blocked(self):
+        done = run_python(BLOCK_NUMPY + "import rowfetch; from rowfetch import "
+                          "CostConstants, MemoryBudget, fit_cost_model, recommend")
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_array_commands_load_no_exact_arithmetic(self, tmp_path, command):
+        # The fit's Fractions would only add to these commands' memory.
+        trace = tmp_path / "t.csv"
+        assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
+        argv = (["analyze", str(trace)] if command == "analyze"
+                else command_args(tmp_path, command, "baseline.cfg"))
+        done = run_python("import sys; from rowfetch.cli import main; rc = main(sys.argv[1:]); "
+                          "print(sorted({'fractions', 'decimal', 'rowfetch.model_fit'} "
+                          "& set(sys.modules)), file=sys.stderr); sys.exit(rc)", *argv)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "[]\n")
 
 
 class TestRecommend:

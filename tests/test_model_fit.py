@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rowfetch.core_model import FetchPlan, FieldError, WorkloadSpec, quantized_cost
+from rowfetch.core_model import CostConstants, FetchPlan, FieldError, WorkloadSpec, quantized_cost
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch
 from rowfetch.model_fit import (
     BASIS_NAMES,
@@ -17,7 +20,9 @@ from rowfetch.model_fit import (
     FitSample,
     SampleFormatError,
     _collinear_columns,
-    _rms,
+    _condition,
+    _gram,
+    _sqrt,
     fit_cost_model,
     read_fit_samples,
     write_fit_samples,
@@ -121,6 +126,19 @@ class TestDegenerateDesigns:
         assert result.condition_warning
         assert result.warnings == ("ill-conditioned design matrix (condition 2.48e+12)",)
 
+    def test_full_integer_rank_fits_however_ill_conditioned(self):
+        # Near N = 2**53 an SVD rank tolerance took this residual indicator
+        # for a combination of the other columns; in integers the design has
+        # full rank, and the simulator's law comes back exactly.
+        n = 4585370827824676
+        sizes = (742139, 329944953371394, 2259850835975121, 3101917560641336)
+        k = CostConstants(305.0, 0.0, 305.0, 0.0)
+        result = fit_cost_model([FitSample(f, quantized_cost(FetchPlan(f, n), k), n)
+                                 for f in sizes])
+        assert (result.k1, result.k2, result.k3, result.k4) == (305.0, 0.0, 305.0, 0.0)
+        assert result.residual_rms == 0.0
+        assert result.warnings == ("ill-conditioned design matrix (condition 4.49e+15)",)
+
     def test_shared_residual_is_collinear(self):
         # 10, 25, 50, 100 all divide 500, so N mod f is 2 everywhere and
         # the residual-records column is 2x the indicator column.
@@ -206,35 +224,175 @@ class TestNonNegativeOptimum:
 
 @st.composite
 def small_designs(draw):
-    """Small integer designs of 1-4 columns, some with one column a multiple of another."""
+    """Columns of small integer designs, 1-4 wide, some with one column a multiple of another."""
     width = draw(st.integers(1, 4))
     row = st.lists(st.integers(-5, 5), min_size=width, max_size=width)
-    design = np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=float)
+    columns = [list(col) for col in zip(*draw(st.lists(row, min_size=1, max_size=6)))]
     if width > 1 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(width)))[:2]
-        design[:, dst] = draw(st.sampled_from((0, 1, 2, -3, 1e-9))) * design[:, src]
-    return design
+        factor = draw(st.sampled_from((0, 1, 2, -3)))
+        columns[dst] = [factor * v for v in columns[src]]
+    return columns
+
+
+def exact_rank(columns) -> int:
+    """Rank of an integer matrix, by Fraction elimination with a pivot search."""
+    rows = [[Fraction(v) for v in row] for row in zip(*columns)]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 class TestCollinearColumns:
     @settings(max_examples=300)
     @given(small_designs())
-    def test_no_guilty_column_exactly_at_full_column_rank(self, design):
-        full_rank = np.linalg.matrix_rank(design) == design.shape[1]
-        assert (_collinear_columns(design, BASIS_NAMES) == []) == full_rank
+    def test_one_guilty_column_per_missing_rank(self, columns):
+        guilty = _collinear_columns(_gram(columns), BASIS_NAMES)
+        assert len(guilty) == len(columns) - exact_rank(columns)
 
 
-class TestResidualRms:
-    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30)),
-                    min_size=1, max_size=50))
-    def test_is_the_direct_formula_where_that_is_exact(self, residuals):
-        r = np.array(residuals)
-        assert _rms(r) == float(np.sqrt(np.mean(r**2)))
+class TestCondition:
+    def test_matches_numpy_where_numpy_is_accurate(self):
+        # np.linalg.cond's SVD is accurate to about cond * 2**-52 relative.
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(100):
+            n = int(rng.integers(50, 5000))
+            sizes = sorted({int(f) for f in rng.integers(1, n, size=6)})
+            columns = [[n // f for f in sizes], sizes, [int(n % f > 0) for f in sizes],
+                       [n % f for f in sizes]]
+            gram = _gram(columns)
+            want = np.linalg.cond(np.array(columns, dtype=float).T)
+            if _collinear_columns(gram, BASIS_NAMES) or want > 1e6:
+                continue
+            assert _condition(gram) == pytest.approx(want, rel=1e-9)
+            checked += 1
+        assert checked > 50
 
-    def test_stays_finite_at_float64s_top(self):
-        top = sys.float_info.max
-        assert _rms(np.array([top, -top, top])) == pytest.approx(top)
-        assert _rms(np.zeros(3)) == 0.0
+    @pytest.mark.parametrize("gram, want", [
+        ([[5, 0], [0, 5]], 1.0),
+        ([[9, 0, 0, 0], [0, 9, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3.0),
+        ([[2, 1], [1, 2]], 3**0.5),
+    ], ids=["equal", "pairs", "rotated"])
+    def test_repeated_eigenvalues(self, gram, want):
+        # The slowest case for the trace of powers: ties at the top.
+        assert _condition(gram) == pytest.approx(want, rel=1e-12)
+
+
+def is_nearest_sqrt(root: float, q: Fraction) -> bool:
+    """root is a float64 nearest sqrt(q): q lies between the squared midpoints
+    from root to its neighbours."""
+    below = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2
+    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    return below * below <= q <= above * above
+
+
+class TestSqrt:
+    @given(st.floats(0.0, sys.float_info.max))
+    def test_is_math_sqrt_on_floats(self, x):
+        assert _sqrt(Fraction(x)) == math.sqrt(x)
+
+    @given(st.integers(0, 2**2200), st.integers(1, 2**2200))
+    def test_rounds_a_rational_root_once(self, num, den):
+        q = Fraction(num, den)
+        root = _sqrt(q)
+        assert root == math.inf or is_nearest_sqrt(root, q)
+
+    def test_stays_finite_at_float64s_ends(self):
+        top, least = sys.float_info.max, math.ulp(0.0)
+        assert _sqrt(Fraction(top) ** 2) == top
+        assert _sqrt(Fraction(top) ** 2 * 3 / 4) == pytest.approx(top / 2 * 3**0.5)
+        assert _sqrt(Fraction(least) ** 2) == least
+        assert _sqrt(Fraction(0)) == 0.0
+
+
+def cramer_solve(a, b) -> list[Fraction]:
+    """a^-1 b by Cramer's rule over the Leibniz determinant: tiny systems only."""
+    def det(m):
+        total = Fraction(0)
+        for perm in permutations(range(len(m))):
+            sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+            term = Fraction(sign)
+            for i, j in enumerate(perm):
+                term *= m[i][j]
+            total += term
+        return total
+
+    whole = det(a)
+    return [det([row[:i] + [v] + row[i + 1:] for row, v in zip(a, b)]) / whole
+            for i in range(len(a))]
+
+
+def reference_fit(n, sizes, y) -> list[Fraction]:
+    """The non-negative least-squares optimum as the one subset solve meeting
+    the KKT conditions, summed row by row in Fractions."""
+    rows = [[n // f, f, int(n % f > 0), n % f] for f in sizes]
+    if not any(row[3] for row in rows):
+        rows = [row[:2] for row in rows]
+    ys = [Fraction(v) for v in y]
+    width = len(rows[0])
+    for size in range(width + 1):
+        for cols in combinations(range(width), size):
+            a = [[sum(Fraction(row[i] * row[j]) for row in rows) for j in cols] for i in cols]
+            b = [sum(row[i] * v for row, v in zip(rows, ys)) for i in cols]
+            x = [Fraction(0)] * width
+            for col, value in zip(cols, cramer_solve(a, b)):
+                x[col] = value
+            residual = [sum(r * c for r, c in zip(row, x)) - v for row, v in zip(rows, ys)]
+            gradient = [sum(row[j] * r for row, r in zip(rows, residual)) for j in range(width)]
+            if min(x) >= 0 and min(gradient) >= 0:
+                return x
+    raise AssertionError("no subset meets the KKT conditions")
+
+
+@st.composite
+def tiny_designs(draw):
+    """(n, sizes, elapsed) small enough for the brute-force reference."""
+    n = draw(st.integers(4, 60))
+    sizes = sorted(draw(st.sets(st.integers(1, n), min_size=4, max_size=7)))
+    elapsed = st.one_of(st.just(0.0), st.floats(1e-3, 1e4), st.integers(0, 4000).map(float))
+    return n, sizes, draw(st.lists(elapsed, min_size=len(sizes), max_size=len(sizes)))
+
+
+class TestExactFit:
+    @pytest.mark.parametrize("k", [(250.0, 0.5, 120.0, 0.375), (305.0, 0.0, 305.0, 0.0),
+                                   (2.0**-10, 3.0, 0.0, 2.0**20)])
+    def test_dyadic_constants_come_back_bit_for_bit(self, k):
+        samples = [FitSample(f, quantized_cost(FetchPlan(f, N), CostConstants(*k)), N)
+                   for f in F_GRID]
+        result = fit_cost_model(samples)
+        assert (result.k1, result.k2, result.k3, result.k4) == k
+        assert result.residual_rms == 0.0
+
+    @settings(deadline=None, max_examples=150)
+    @given(tiny_designs())
+    def test_matches_a_brute_force_fraction_reference(self, design):
+        n, sizes, y = design
+        columns = [[n // f for f in sizes], sizes, [int(n % f > 0) for f in sizes],
+                   [n % f for f in sizes]]
+        if not any(columns[3]):
+            columns = columns[:2]
+        try:
+            result = fit_cost_model([FitSample(f, v, n) for f, v in zip(sizes, y)])
+        except FitError:
+            assert exact_rank(columns) < len(columns)
+            return
+        assert exact_rank(columns) == len(columns)
+        want = [float(x) for x in reference_fit(n, sizes, y)]
+        got = [result.k1, result.k2, result.k3, result.k4][:len(want)]
+        assert got == want
+        k = [Fraction(c) for c in got]
+        squares = sum((sum(c * v for c, v in zip(k, row)) - Fraction(ms)) ** 2
+                      for row, ms in zip(zip(*columns), y))
+        assert is_nearest_sqrt(result.residual_rms, squares / len(sizes))
 
 
 class TestSimulatorDrivenFits:

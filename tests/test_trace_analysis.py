@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from rowfetch.trace_analysis import (
     TraceFormatError,
     _above_threshold,
     _number,
-    _scaled_threshold,
+    _std_in_place,
     analyze_trace,
     avg_trip_time_from_trace,
     detect_peaks,
@@ -186,31 +187,42 @@ class TestDetectPeaks:
         assert report.confidence == 0.5
 
     FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    VALUES = st.one_of(
+        st.lists(FINITE | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                            2.2250738585072014e-308, DBL_MAX, -DBL_MAX]),
+                 min_size=1, max_size=60),
+        st.builds(lambda value, n: [value] * n, FINITE, st.integers(1, 9)))
 
     @example([5e-324, 1e-320, -5e-324, 0.0], 10.0, 3.0)  # subnormals only
     @example([DBL_MAX, -DBL_MAX, 1.0], 1.0, 0.0)
     @example([-7.5] * 5, 1.0, 0.0)  # all equal
     @example([5.9, 1.3, 9.2, 4.7], 0.0, 3.0)  # sorted first, the stdev sums round differently
-    @given(st.one_of(
-               st.lists(FINITE | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
-                                                   2.2250738585072014e-308, DBL_MAX, -DBL_MAX]),
-                        min_size=1, max_size=60),
-               st.builds(lambda value, n: [value] * n, FINITE, st.integers(1, 9))),
+    @given(VALUES,
            st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 100.0),
            st.sampled_from([0.0, 3.0]) | st.floats(0.0, 10.0))
     def test_threshold_matches_the_copying_formula(self, values, median_ratio, sigma_k):
-        # The median now partitions the scaled copy in place, which is then
-        # refilled for the comparison.  The threshold and the mask must be
-        # the old formula's, bit for bit, and the caller's column untouched.
+        # The stdev and the median now work in the scaled copy, which is
+        # refilled after each.  The mask must be the old formula's, and the
+        # caller's column untouched.
         samples = np.column_stack((np.arange(1.0, len(values) + 1), values))
         before = samples.tobytes()
         column = samples[:, 1]
         scaled = np.ldexp(column, -np.frexp(max(column.max(), -column.min()))[1])
         expected = reference_threshold(scaled, median_ratio, sigma_k)
-        got = _scaled_threshold(scaled.copy(), median_ratio, sigma_k)
-        assert float(got).hex() == float(expected).hex()
         assert np.array_equal(_above_threshold(column, median_ratio, sigma_k), scaled > expected)
         assert samples.tobytes() == before
+
+    @example([5e-324, 1e-320, -5e-324, 0.0])  # subnormals only
+    @example([DBL_MAX, -DBL_MAX, 1.0])
+    @example([-DBL_MAX, 2.5, -1e-300])  # mixed signs
+    @example([-7.5] * 5)  # all equal
+    @given(VALUES)
+    def test_in_place_stdev_is_numpys_bit_for_bit(self, values):
+        column = np.array(values)
+        scaled = np.ldexp(column, -np.frexp(max(column.max(), -column.min()))[1])
+        expected = scaled.std()
+        got = _std_in_place(scaled.copy(), scaled.mean())
+        assert float(got).hex() == float(expected).hex()
 
     def test_threshold_knobs_are_live(self):
         # One modest bump over a noisy floor: invisible at the default
@@ -231,8 +243,32 @@ class TestDetectPeaks:
         assert exc.value.field == knob
 
 
+class CountedPairs(Sequence):
+    """(row_index, elapsed_ms) pairs that count how often they are read whole."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, index):
+        return self.pairs[index]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.pairs)
+
+
 class TestTraceRule:
     """In-memory traces obey the reader's rule: rows 1..n, finite elapsed_ms."""
+
+    def test_analyze_trace_converts_a_sequence_once(self):
+        pairs = CountedPairs(synthetic(502, {row: 400.0 for row in range(11, 503, 10)}))
+        report = analyze_trace(pairs)
+        assert (report.inferred_prefetch, report.avg_trip_time) == (10, 400.0)
+        assert pairs.reads == 1
 
     @pytest.mark.parametrize("samples", [
         [(1, 0.0), (3, 400.0), (4, 0.0)],
