@@ -38,7 +38,6 @@ from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec, transport_t
 
 class ConfigError(InputError):
     def __init__(self, key: str, message: str):
-        self.key = key
         super().__init__(f"{key}: {message}")
 
 

@@ -65,6 +65,7 @@ class WorkloadSpec:
         # Up to 2**53 every count is exact in float64, and int64 products
         # such as i * f <= n + f cannot overflow.
         require(0 <= self.total_records <= 2**53, "total_records", "must be in [0, 2**53]")
+        require(len(self.field_byte_sizes) >= 1, "field_byte_sizes", "must name a field")
         require(all(b >= 1 for b in self.field_byte_sizes), "field_byte_sizes",
                 "must each be >= 1")
         # A record's byte count must convert to float64 for transport times.

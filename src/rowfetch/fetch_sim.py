@@ -235,8 +235,6 @@ def simulate_fetch(
     independent uniform factor in [1-jitter, 1+jitter], drawn from the
     Philox stream keyed by seed mod 2**128, so any integer seed is valid.
     """
-    if workload.record_bytes == 0:
-        raise ValueError("workload records carry zero bytes; nothing to transport")
     if not 0 <= jitter <= 1:
         raise ValueError("jitter must be in [0, 1]")
     import numpy as np

@@ -11,9 +11,10 @@ the best non-negative solve over every subset of the basis columns.
 
 The fit is solved exactly over the rationals.  The basis entries are
 integers and every elapsed time is an integer over a power of two, so
-the normal equations are summed once as Python ints, O(samples) work,
-and each subset is solved in Fractions.  Each constant, and the residual
-RMS at the printed constants, is then rounded to float64 once.
+the normal equations are summed once as Python ints, O(samples) work.
+One elimination in Fractions, `_solve`, gives the exact rank, the inverse
+for the condition number and each column subset's solve.  Each constant,
+and the residual RMS at the printed constants, is rounded to float64 once.
 
 Identifiability caveats handled here rather than silently mis-reported:
 
@@ -88,42 +89,28 @@ def _gram(columns: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in columns] for a in columns]
 
 
-def _solve(matrix, rhs) -> list[Fraction]:
-    """x with matrix @ x == rhs, exactly, for a positive definite matrix.
+def _solve(matrix, *rhs) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact x_j with matrix @ x_j == rhs_j, and the columns whose pivot was zero.
 
-    Gaussian elimination needs no pivoting here: every pivot of a
-    positive definite matrix is positive.
+    Gauss-Jordan without row exchanges on a positive semidefinite Gram: a
+    column's pivot is its Schur complement on the columns before it, zero
+    exactly when it is their combination, and then its row and column are
+    zero too, so it is skipped with its unknown set to 0.
     """
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    width = len(rows)
-    for p in range(width):
-        for row in rows[p + 1:]:
-            factor = row[p] / rows[p][p]
-            for c in range(p, width + 1):
-                row[c] -= factor * rows[p][c]
-    x: list[Fraction] = []
-    for p in reversed(range(width)):
-        x.insert(0, (rows[p][width] - sum(map(mul, rows[p][p + 1:width], x))) / rows[p][p])
-    return x
-
-
-def _collinear_columns(gram: list[list[int]], names: tuple[str, ...]) -> list[str]:
-    """Columns adding no rank to those before them: none iff full column rank.
-
-    A column adds rank when its Gram entry exceeds what the kept columns
-    explain of it, the Schur complement g_cc - g_k^T G_k^-1 g_k, exactly.
-    """
-    kept: list[int] = []
-    guilty = []
-    for col in range(len(gram)):
-        within = [gram[col][k] for k in kept]
-        explained = sum(map(mul, within, _solve([[gram[i][j] for j in kept] for i in kept],
-                                                within)))
-        if gram[col][col] > explained:
-            kept.append(col)
-        else:
-            guilty.append(names[col])
-    return guilty
+    rows = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs]
+            for i, row in enumerate(matrix)]
+    zero_pivots = []
+    for p, pivot_row in enumerate(rows):
+        if not pivot_row[p]:
+            zero_pivots.append(p)
+            continue
+        for row in rows:
+            if row is not pivot_row and row[p]:
+                factor = row[p] / pivot_row[p]
+                for c in range(p, len(row)):
+                    row[c] -= factor * pivot_row[c]
+    return [[row[len(matrix) + j] / row[p] if row[p] else Fraction(0)
+             for p, row in enumerate(rows)] for j in range(len(rhs))], zero_pivots
 
 
 def _solve_nonnegative(gram: list[list[int]], xty: list[Fraction]) -> list[Fraction]:
@@ -132,17 +119,17 @@ def _solve_nonnegative(gram: list[list[int]], xty: list[Fraction]) -> list[Fract
     The optimum is the unconstrained solve on some subset (Lawson &
     Hanson 1974), so the feasible subset solve with the least residual
     y^T y - xty^T x is exact, and unique for a positive definite gram.
+    Zeroing the other columns' rows and entries makes them zero pivots, at 0.
     """
     width = len(gram)
     best, best_gain = [Fraction(0)] * width, Fraction(0)  # the empty subset
     for size in range(width, 0, -1):
         for cols in combinations(range(width), size):
-            sol = _solve([[gram[i][j] for j in cols] for i in cols], [xty[i] for i in cols])
-            if min(sol) < 0:
+            keep = [int(c in cols) for c in range(width)]
+            (coef,), _ = _solve([[keep[i] * keep[j] * g for j, g in enumerate(row)]
+                                 for i, row in enumerate(gram)], list(map(mul, keep, xty)))
+            if min(coef) < 0:
                 continue
-            coef = [Fraction(0)] * width
-            for col, value in zip(cols, sol):
-                coef[col] = value
             if size == width:  # the unconstrained optimum is non-negative
                 return coef
             gain = sum(map(mul, xty, coef))
@@ -170,17 +157,14 @@ def _log_largest_eigenvalue(matrix) -> float:
     return log
 
 
-def _condition(gram: list[list[int]]) -> float:
-    """The design's 2-norm condition number from its exact Gram matrix G.
+def _condition(gram: list[list[int]], inverse: list[list[Fraction]]) -> float:
+    """The design's 2-norm condition number from its exact Gram matrix G and G^-1.
 
     It is sqrt(lmax(G) * lmax(G^-1)); both largest eigenvalues are
     accurate to float64 however ill-conditioned G is, where the smallest
     eigenvalue of G would carry an error of eps * lmax(G).
     """
-    width = len(gram)
-    inverse_columns = [_solve(gram, [int(i == j) for i in range(width)]) for j in range(width)]
-    return math.exp((_log_largest_eigenvalue(gram)
-                     + _log_largest_eigenvalue(inverse_columns)) / 2)
+    return math.exp((_log_largest_eigenvalue(gram) + _log_largest_eigenvalue(inverse)) / 2)
 
 
 def _round(q: Fraction) -> float:
@@ -231,11 +215,13 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
         columns = columns[:2]
 
     gram = _gram(columns)
-    if guilty := _collinear_columns(gram, BASIS_NAMES):
+    identity = [[int(i == j) for i in range(len(gram))] for j in range(len(gram))]
+    inverse, zero_pivots = _solve(gram, *identity)  # the rank and, at full rank, the inverse
+    if zero_pivots:
         raise FitError("design matrix is rank-deficient; collinear columns: "
-                       + ", ".join(guilty))
+                       + ", ".join(BASIS_NAMES[c] for c in zero_pivots))
 
-    condition = _condition(gram)
+    condition = _condition(gram, inverse)
     condition_warning = condition > CONDITION_WARN_AT
     if condition_warning:
         warnings.append(f"ill-conditioned design matrix (condition {condition:.3g})")

@@ -49,6 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core_model import InputError, finite_nonneg, require
+from .fetch_sim import TRACE_HEADER
 
 Samples = np.ndarray | Sequence[tuple[int, float]]
 
@@ -227,8 +228,8 @@ def read_trace_samples(path) -> np.ndarray:
     """
     # Undecodable bytes become U+FFFD, which cannot match the header.
     with open(path, newline="", errors="replace") as fh:
-        if [h.strip() for h in fh.readline().split(",")] != ["row_index", "elapsed_ms"]:
-            raise TraceFormatError(f"{path}: expected header row_index,elapsed_ms")
+        if tuple(h.strip() for h in fh.readline().split(",")) != TRACE_HEADER:
+            raise TraceFormatError(f"{path}: expected header {','.join(TRACE_HEADER)}")
     suffix = os.path.splitext(path)[1]
     if suffix in _COMPRESSED_SUFFIXES:
         raise TraceFormatError(f"{path}: a plain-text trace may not be named *{suffix}")

@@ -6,6 +6,7 @@ exit code, the printed summary, and the artifacts on disk.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import math
@@ -768,3 +769,97 @@ class TestReadmeExamples:
         out, shown = self.run(command, capsys), self.SESSIONS[command]
         assert out[0].startswith(shown[0].removesuffix(" ...}"))
         assert out[1:] == shown[1:]
+
+    def test_fit_output(self, capsys):
+        Path("samples.csv").write_text("\n".join(self.SESSIONS["cat samples.csv"]) + "\n")
+        assert cli.main(["fit", "samples.csv"]) == EXIT_OK
+        # The README wraps the one JSON line; its pieces join back with "".
+        assert capsys.readouterr().out == "".join(self.SESSIONS["rowfetch fit samples.csv"]) + "\n"
+
+
+# sha256 of every CLI output on each bundled preset; TestGoldenDigests says
+# how to regenerate them.
+GOLDEN_DIGESTS = {
+    "baseline": {
+        "simulate": "66b0b2d5e85df20e40395e7501a46e972d21bce568b9fe8f00a2301b6d956323",
+        "trace.csv": "39edc1e97bc56fdf91bfb26a4e23a466881b62317a1bfc60fa522ef1cb9b3013",
+        "trace_trips.csv": "e220abc1a76812b6a66cb41be45d5db9afd82ee75f716b99cfc5837ca3ecb59f",
+        "analyze": "0037ac5c883faa98416749322f4e4b2e206f50e17275ff621b8e965e42813761",
+        "sim.tsv": "e3270ab202ed85c6faa5bcdd5919ca022457c93bb33760cf27d0bb23289882a1",
+        "quantized.tsv": "8f1d0a1b467a609dbd9c40d2ea110e863f2cfd463d6474c6c3179e05a53eace4",
+        "reciprocal.tsv": "d80cda86245e72c0769d51c830227501a9a9df21604671d68d2c5355f464cd83",
+        "recommend": "88c2219a2a6176361ce0a6aa1562ef7c62c9771fd1975b42ac7bb349a2d31e69",
+    },
+    "near_path": {
+        "simulate": "a6a99d24f739f0e22265ead896937912704fbf55765e0db2a15736290d1f9c3e",
+        "trace.csv": "bd1dd511e634705b764445e786c2cdd08e6bc76dc75278a3657dcfc345ec904d",
+        "trace_trips.csv": "9a5b9dd161d5624d0f548cd300b4e4f009d5f9050765d89d9b65d6e6ed52fcdc",
+        "analyze": "d8ace529136a79965de442d741970014c3c97f0ab5404a1918370d3be9b62c01",
+        "sim.tsv": "64fdca51efd9e3f97a0c4b2d504aeac864e13ef241ed14e52ee3004f04bbb33a",
+        "quantized.tsv": "e30acb0d469186485d1243c30b5594588150135a9d517d1e7b5d6c4430070856",
+        "reciprocal.tsv": "c97e21c662e97674d8bfc16ea1a00f76054ef261bf4aa8728fc2bf53f03093eb",
+        "recommend": "a9fbb5388200b3be71544f08ceff3698b8f0f3e31aad9969f6e5f48e571b45a5",
+    },
+    "far_path": {
+        "simulate": "a1b8858d44716ca757a1196aabe2066dc82ebb9494465171211805a2360589cc",
+        "trace.csv": "2e976abc69b23cdbe45fabce8b543363770e144e7eab4f380a8b8c5335db5a19",
+        "trace_trips.csv": "a696ef7d33bc6a67788f3b2487561fda4c3073def60c3fea9e9590ab183110e8",
+        "analyze": "beb1a355dd7fedc84ed31faddb314b8aa12580f86ba4f58a90034253016343e5",
+        "sim.tsv": "0012999c2a53b78ac43c0de167cf318baca6598dbaa0f77bf0cbebc6d98a4ffa",
+        "quantized.tsv": "b5ab4d678c403760b25c20a9244da8986e0e67ba84917a3f07fc11162ef1bd7c",
+        "reciprocal.tsv": "21d17e984c7cfdb55e133738cb0ebd28ce0984cbc2841c6d45551f2679f242c5",
+        "recommend": "0722d240269fe64aa8f8fea9503c4a03b12e15ad45c30bdc0f5ace502881cbb0",
+    },
+    "tiny_result": {
+        "simulate": "a2ca4038318444e2bc75942dce682477b0d534a708ff4cb03107c3017bbfc279",
+        "trace.csv": "48965e5c7920888c8b1f2203c4b36d5de2eec6cc1a14a41d1fe06e248d387ca6",
+        "trace_trips.csv": "1c4940b5fb88fb858846c731599325252f29d25dd109830a91ad4232a3aa1f69",
+        "analyze": "77409da182a5bae40210cd20959f8333bbb7be8ebe178202eccf17f0bd30fb06",
+        "sim.tsv": "7e56fd9232376c035bea22dc813f13d70d0a96245848d3ef07b10a190aed6ee2",
+        "quantized.tsv": "0139c366200f52cb078af6a195c0b8af8fd7470a4201c538387cad78e4692c70",
+        "reciprocal.tsv": "35465ef35aad90784b344be6a17a481cb2428a9ccd35b663db1a76e3a6559e91",
+        "recommend": "f43fecd838d7758ade97c0222c98c2569ff1dd0c91e466eca97f3ee28615dd23",
+    },
+}
+
+
+class TestGoldenDigests:
+    """Every preset's CLI outputs are byte-identical to the frozen digests.
+
+    Every preset runs at jitter 0 and its trace is mostly exact zeros, so
+    no digest depends on numpy's RNG or float reductions.  When an output
+    changes on purpose, regenerate the table from an empty directory:
+
+        rf() { PYTHONPATH=<repo>/src python -m rowfetch.cli "$@"; }
+        for p in baseline near_path far_path tiny_result; do
+          rf simulate $p.cfg --out-trace trace.csv | sha256sum      # simulate
+          sha256sum trace.csv trace_trips.csv
+          rf analyze trace.csv | sha256sum                          # analyze
+          for m in sim quantized reciprocal; do
+            rf sweep $p.cfg --f-range 1:300 --mode $m --out $m.tsv > /dev/null
+          done
+          sha256sum sim.tsv quantized.tsv reciprocal.tsv
+          rf recommend $p.cfg --budget-bytes 1000000 | sha256sum    # recommend
+        done
+    """
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
+    def test_outputs_match_frozen_digests(self, preset, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(SEED_ENV, raising=False)
+
+        def stdout_of(*argv):
+            assert cli.main(list(argv)) == EXIT_OK
+            return capsys.readouterr().out.encode()
+
+        outputs = {"simulate": stdout_of("simulate", f"{preset}.cfg", "--out-trace", "trace.csv"),
+                   "analyze": stdout_of("analyze", "trace.csv")}
+        for mode in ("sim", "quantized", "reciprocal"):
+            stdout_of("sweep", f"{preset}.cfg", "--f-range", "1:300", "--mode", mode,
+                      "--out", f"{mode}.tsv")
+        for name in ("trace.csv", "trace_trips.csv", "sim.tsv", "quantized.tsv",
+                     "reciprocal.tsv"):
+            outputs[name] = Path(name).read_bytes()
+        outputs["recommend"] = stdout_of("recommend", f"{preset}.cfg", "--budget-bytes", "1000000")
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == GOLDEN_DIGESTS[preset]

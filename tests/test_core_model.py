@@ -223,6 +223,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             WorkloadSpec(10, (50, 0))
 
+    def test_workload_rejects_a_record_with_no_fields(self):
+        # A zero-byte record would be priced and simulated as free.
+        with pytest.raises(FieldError) as exc:
+            WorkloadSpec(10, ())
+        assert exc.value.field == "field_byte_sizes"
+
     def test_workload_records_capped_at_2_53(self):
         assert WorkloadSpec(2**53, (8,)).total_records == 2**53
         with pytest.raises(FieldError) as exc:

@@ -197,10 +197,6 @@ class TestSimulateFetch:
         assert trace.total_elapsed_ms == 0.0
         assert stage_breakdown(trace) == (0.0, 0.0)
 
-    def test_rejects_zero_byte_records(self):
-        with pytest.raises(ValueError):
-            simulate_fetch(WorkloadSpec(10, ()), WAN, SERVER, DRIVER)
-
     def test_rejects_out_of_range_jitter(self):
         with pytest.raises(ValueError):
             simulate_fetch(WIDE, WAN, SERVER, DRIVER, jitter=1.5)

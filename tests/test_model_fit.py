@@ -15,13 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 from rowfetch.core_model import CostConstants, FetchPlan, FieldError, WorkloadSpec, quantized_cost
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch
 from rowfetch.model_fit import (
-    BASIS_NAMES,
     FitError,
     FitSample,
     SampleFormatError,
-    _collinear_columns,
     _condition,
     _gram,
+    _solve,
     _sqrt,
     fit_cost_model,
     read_fit_samples,
@@ -251,12 +250,27 @@ def exact_rank(columns) -> int:
     return rank
 
 
-class TestCollinearColumns:
+def identity(width: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(width)] for j in range(width)]
+
+
+class TestSolve:
     @settings(max_examples=300)
     @given(small_designs())
-    def test_one_guilty_column_per_missing_rank(self, columns):
-        guilty = _collinear_columns(_gram(columns), BASIS_NAMES)
-        assert len(guilty) == len(columns) - exact_rank(columns)
+    def test_one_zero_pivot_per_missing_rank(self, columns):
+        # Each zero pivot is a column adding no rank to those before it.
+        _, zero_pivots = _solve(_gram(columns))
+        assert zero_pivots == [c for c in range(len(columns))
+                               if exact_rank(columns[:c + 1]) == exact_rank(columns[:c])]
+
+    @settings(max_examples=300)
+    @given(small_designs())
+    def test_identity_right_hand_sides_give_the_inverse(self, columns):
+        gram = _gram(columns)
+        inverse, zero_pivots = _solve(gram, *identity(len(gram)))
+        assume(not zero_pivots)
+        assert [[sum(a * b for a, b in zip(row, col)) for col in inverse]
+                for row in gram] == identity(len(gram))
 
 
 class TestCondition:
@@ -271,9 +285,10 @@ class TestCondition:
                        [n % f for f in sizes]]
             gram = _gram(columns)
             want = np.linalg.cond(np.array(columns, dtype=float).T)
-            if _collinear_columns(gram, BASIS_NAMES) or want > 1e6:
+            inverse, zero_pivots = _solve(gram, *identity(len(gram)))
+            if zero_pivots or want > 1e6:
                 continue
-            assert _condition(gram) == pytest.approx(want, rel=1e-9)
+            assert _condition(gram, inverse) == pytest.approx(want, rel=1e-9)
             checked += 1
         assert checked > 50
 
@@ -284,7 +299,8 @@ class TestCondition:
     ], ids=["equal", "pairs", "rotated"])
     def test_repeated_eigenvalues(self, gram, want):
         # The slowest case for the trace of powers: ties at the top.
-        assert _condition(gram) == pytest.approx(want, rel=1e-12)
+        inverse, _ = _solve(gram, *identity(len(gram)))
+        assert _condition(gram, inverse) == pytest.approx(want, rel=1e-12)
 
 
 def is_nearest_sqrt(root: float, q: Fraction) -> bool:
