@@ -71,11 +71,18 @@ class PeakReport:
 
 # Rows per block of the trace-rule check, whose temporaries stay this size.
 _BLOCK_ROWS = 1 << 16
+_TRACE_RULE = "trace rows must be numbered 1..n with finite elapsed_ms"
 
 
 def _as_array(samples: Samples) -> np.ndarray:
-    """View samples as an (n, 2) float64 array; an array of that shape is returned as is."""
-    return np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    """View samples as an (n, 2) float64 array; an array of that shape is returned as is.
+
+    Any other non-empty shape (a flat sequence, rows of four) breaks the trace rule.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size and (samples.ndim != 2 or samples.shape[1] != 2):
+        raise ValueError(_TRACE_RULE)
+    return samples.reshape(-1, 2)
 
 
 def _sample_array(samples: Samples) -> np.ndarray:
@@ -85,7 +92,7 @@ def _sample_array(samples: Samples) -> np.ndarray:
         block = samples[lo:lo + _BLOCK_ROWS]
         if not (np.array_equal(block[:, 0], np.arange(lo + 1, lo + len(block) + 1))
                 and np.isfinite(block[:, 1]).all()):
-            raise ValueError("trace rows must be numbered 1..n with finite elapsed_ms")
+            raise ValueError(_TRACE_RULE)
     return samples
 
 

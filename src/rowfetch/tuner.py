@@ -4,10 +4,10 @@ Raising the prefetch size stops paying off once it no longer removes
 round trips.  The sizes that need the same trip count ceil(n/f) form a
 block, and the threshold is the start of the first block long enough to
 hold a sustained run of flat sizes (a single flat step can be a local
-plateau between drops, not the knee).  The optimal size is then the
-smallest f that still achieves the threshold's trip count, which wastes
-no client memory.  A memory budget can cap the result, in which case
-the trip count is recomputed honestly for the capped size.
+plateau between drops, not the knee).  As a block's start, the threshold
+is already the smallest f with its trip count, so it wastes no client
+memory and is the recommendation.  A memory budget can cap the result,
+in which case the trip count is recomputed honestly for the capped size.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ class MemoryBudget:
 class Recommendation:
     """A tuned prefetch size and the reasoning that produced it.
 
-    optimal_f is the final answer (after any memory cap); memory_ok
-    records whether the trip-minimal size fit the budget uncapped.
+    threshold_f is the trip-minimal size (the smallest with its trip
+    count); optimal_f is the final answer, threshold_f capped by the
+    budget; memory_ok records whether threshold_f fit the budget uncapped.
     """
 
     threshold_f: int
@@ -81,13 +82,10 @@ def threshold_prefetch(n: int, zero_run: int = DEFAULT_ZERO_RUN) -> int:
 
 def optimal_prefetch(n: int, threshold_f: int) -> int:
     """Smallest f with the same round-trip count as threshold_f."""
+    if n < 1:
+        raise ValueError("need at least one record")
     trips = round_trips(n, threshold_f)
     return -(-n // trips)
-
-
-def check_memory(f: int, budget: MemoryBudget) -> tuple[bool, int]:
-    """Whether f records fit the budget, and the most records that do: (ok, max_feasible_f)."""
-    return f * budget.record_bytes <= budget.max_bytes, budget.max_bytes // budget.record_bytes
 
 
 def recommend(
@@ -97,33 +95,32 @@ def recommend(
     *,
     zero_run: int = DEFAULT_ZERO_RUN,
 ) -> Recommendation:
-    """Full tuning pass: threshold, minimal size, memory cap, prediction.
+    """Full tuning pass: threshold, memory cap, prediction.
 
-    k prices the final size: the predicted elapsed time is
-    quantized_cost at that size.
+    The threshold is the start of a trip-count block, so it is already
+    the smallest size with its trip count; the budget caps it at
+    max_bytes // record_bytes records.  k prices the final size: the
+    predicted elapsed time is quantized_cost at that size.
     """
     threshold = threshold_prefetch(n, zero_run)
-    optimal = optimal_prefetch(n, threshold)
-    trips = round_trips(n, optimal)
-    ok, max_feasible = check_memory(optimal, budget)
+    trips = round_trips(n, threshold)
+    final = min(threshold, budget.max_bytes // budget.record_bytes)
     rationale = [
         f"trip count stops improving at prefetch {threshold} "
         f"(zero decrease sustained over {zero_run} sizes)",
-        f"prefetch {optimal} is the smallest size that still needs {trips} round trips",
+        f"prefetch {threshold} is the smallest size that still needs {trips} round trips",
     ]
-    final = optimal
-    if not ok:
-        final = max_feasible
+    if final < threshold:
         trips = round_trips(n, final)
         rationale.append(
-            f"memory budget caps the prefetch at {max_feasible} records; "
+            f"memory budget caps the prefetch at {final} records; "
             f"round trips recomputed to {trips}")
     bytes_final = final * budget.record_bytes
     rationale.append(f"client cache at the recommended size: {bytes_final} "
                      f"of {budget.max_bytes} budget bytes")
     predicted = quantized_cost(FetchPlan(final, n), k)
-    return Recommendation(threshold, final, trips, predicted, bytes_final, ok,
-                          tuple(rationale))
+    return Recommendation(threshold, final, trips, predicted, bytes_final,
+                          final == threshold, tuple(rationale))
 
 
 def render_recommendation(n: int, rec: Recommendation, budget: MemoryBudget) -> str:

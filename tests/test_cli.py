@@ -91,11 +91,17 @@ def simulate(tmp_path, config, stem="trace", extra=()):
 
 
 def command_args(tmp_path, command: str, cfg: str) -> list[str]:
-    """CLI arguments running command on cfg; sweep_MODE is sweep --mode MODE."""
+    """CLI arguments running command on cfg; sweep_MODE is sweep --mode MODE.
+
+    recommend_capped is recommend under a budget that caps baseline.cfg
+    at 24 records.
+    """
     if command == "simulate":
         return ["simulate", cfg, "--out-trace", str(tmp_path / "t.csv")]
     if command == "recommend":
         return ["recommend", cfg, "--budget-bytes", "1000000"]
+    if command == "recommend_capped":
+        return ["recommend", cfg, "--budget-bytes", "100000"]
     mode = command.partition("_")[2] or "sim"
     return ["sweep", cfg, "--f-range", "1:5", "--mode", mode, "--out", str(tmp_path / "s.tsv")]
 
@@ -458,8 +464,8 @@ class TestFit:
 class TestNumpyFreeCommands:
     """Only the commands that build arrays import numpy."""
 
-    @pytest.mark.parametrize("command", ["recommend", "fit", "sweep_quantized",
-                                         "sweep_reciprocal"])
+    @pytest.mark.parametrize("command", ["recommend", "recommend_capped", "fit",
+                                         "sweep_quantized", "sweep_reciprocal"])
     def test_runs_and_prints_the_same_with_numpy_blocked(self, tmp_path, command):
         samples = tmp_path / "samples.csv"
         samples.write_text("# N=502\nf,elapsed_ms\n"

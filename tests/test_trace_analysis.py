@@ -277,7 +277,10 @@ class TestTraceRule:
         [(0, 0.0), (1, 400.0), (2, 0.0)],
         [(1, 0.0), (2, float("nan")), (3, 0.0)],
         [(1, 0.0), (2, float("inf")), (3, 0.0)],
-    ], ids=["gap", "duplicate", "unsorted", "first_row_0", "nan", "inf"])
+        [1, 0.0, 2, 5.0, 3, 0.0],
+        [(1, 0.0, 2, 5.0), (3, 0.0, 4, 5.0)],
+    ], ids=["gap", "duplicate", "unsorted", "first_row_0", "nan", "inf", "flat",
+            "four_columns"])
     def test_broken_trace_raises(self, samples):
         for given in (samples, np.array(samples)):
             with pytest.raises(ValueError):

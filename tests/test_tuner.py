@@ -11,7 +11,6 @@ from rowfetch.core_model import CostConstants, round_trips, trip_decrease_per_un
 from rowfetch.tuner import (
     DEFAULT_ZERO_RUN,
     MemoryBudget,
-    check_memory,
     optimal_prefetch,
     recommend,
     render_recommendation,
@@ -102,20 +101,16 @@ class TestOptimalPrefetch:
                 assert round_trips(n, opt) == trips
                 assert opt == 1 or round_trips(n, opt - 1) > trips
 
+    def test_rejects_empty_workload(self):
+        with pytest.raises(ValueError, match="need at least one record"):
+            optimal_prefetch(0, 5)
 
-class TestCheckMemory:
-    def test_fits_with_room(self):
-        assert check_memory(168, MemoryBudget(1_000_000, 4000)) == (True, 250)
 
-    def test_over_budget(self):
-        assert check_memory(300, MemoryBudget(1_000_000, 4000)) == (False, 250)
-
+class TestRecommend:
     def test_budget_must_fit_one_record(self):
         with pytest.raises(ValueError):
             MemoryBudget(3999, 4000)
 
-
-class TestRecommend:
     def test_generous_budget(self):
         budget = MemoryBudget(1_000_000, 4074)
         rec = recommend(502, budget, FLAT_K)
@@ -137,6 +132,24 @@ class TestRecommend:
         assert not rec.memory_ok
         assert rec.memory_at_optimal == 400_000
         assert any("caps" in line for line in rec.rationale)
+
+    @given(st.integers(1, 10**7), st.integers(1, 200), st.integers(1, 10**4), st.data())
+    def test_trip_minimal_unless_capped(self, n, zero_run, record_bytes, data):
+        # The acceptance test's minimality promise, on the path recommend takes.
+        threshold = threshold_prefetch(n, zero_run)
+        cap = data.draw(st.integers(1, 2 * threshold), label="cap")
+        max_bytes = cap * record_bytes + data.draw(st.integers(0, record_bytes - 1))
+        rec = recommend(n, MemoryBudget(max_bytes, record_bytes), FLAT_K, zero_run=zero_run)
+        fits = threshold * record_bytes <= max_bytes
+        assert rec.threshold_f == threshold
+        assert rec.memory_ok == fits == (rec.optimal_f == threshold)
+        f = rec.optimal_f
+        if fits:
+            assert f == 1 or round_trips(n, f - 1) > round_trips(n, f)
+        else:
+            assert f == max_bytes // record_bytes
+        assert rec.round_trips_at_optimal == round_trips(n, f)
+        assert rec.memory_at_optimal == f * record_bytes
 
     def test_single_record_workload(self):
         rec = recommend(1, MemoryBudget(100, 10), FLAT_K)
