@@ -11,11 +11,12 @@ data).  The ROWFETCH_SEED environment variable overrides the config
 seed; a --seed flag overrides both.  Same inputs and seed always produce
 byte-identical outputs.
 
-Only simulate, analyze and sim-mode sweep build arrays, and only they
-import numpy: fetch_sim imports it inside the functions that build
-arrays, and trace_analysis and model_fit (whose exact arithmetic the
-array commands do not need) are imported inside the commands that use
-them.
+Only simulate, analyze and a jittered sim-mode sweep build arrays, and
+only they import numpy: fetch_sim imports it inside the functions that
+build arrays, and trace_analysis and model_fit (whose exact arithmetic
+the array commands do not need) are imported inside the commands that
+use them.  A jitter-free sim-mode sweep prices each size exactly with
+fetch_sim.jitter_free_total, which builds no array.
 """
 
 from __future__ import annotations
@@ -114,7 +115,11 @@ def cmd_sweep(args) -> int:
     lo, hi = _parse_f_range(args.f_range)
     n = cfg.workload.total_records
     sizes = range(lo, hi + 2)  # one past hi for the last forward difference
-    if args.mode == "sim":
+    if args.mode == "sim" and not cfg.jitter:
+        elapsed = [fetch_sim.jitter_free_total(cfg.workload, cfg.network, cfg.server,
+                                               replace(cfg.driver, enforced_prefetch=f))
+                   for f in sizes]
+    elif args.mode == "sim":
         elapsed = [fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
                                             replace(cfg.driver, enforced_prefetch=f),
                                             seed=cfg.seed, jitter=cfg.jitter).total_elapsed_ms

@@ -24,8 +24,13 @@ and a simulation costs O(trips), not O(rows).  The trace CSV is written in
 blocks of rows, each built as one byte array from the row numbers and the
 repr of its few nonzero values.
 
+Without jitter a fetch's total needs no trace: jitter_free_total prices
+its at most four kinds of trip once each, in O(1) and bit for bit as
+simulate_fetch would, so a jitter-free sim-mode sweep imports no numpy;
+only a jittered one simulates each size.
+
 numpy is imported by the functions that build arrays, not by the module,
-so specs, configs and cost_constants load without it.
+so specs, configs, cost_constants and jitter_free_total load without it.
 """
 
 from __future__ import annotations
@@ -218,6 +223,28 @@ def transport_time(byte_count, net: NetworkSpec):
     return total
 
 
+def _price_trips(out, records, refills, first: bool, workload: WorkloadSpec,
+                 net: NetworkSpec, server: ServerSpec, driver: DriverSpec) -> None:
+    """Write the r, e, a, t, c ms of jitter-free trips into out[0]..out[4].
+
+    Each trip moves records records and triggers refills disk refills;
+    first adds the hard parse.  records and refills are Python ints, with
+    out a list, or int64 columns, with out the (5, trips) transposed view
+    of their rows of the block.  Each component is stored as soon as it
+    is computed: holding the five trip-long temporaries at once made
+    simulate_fetch's block fill 2.6x slower at 1e5 trips.  simulate_fetch
+    and jitter_free_total both price trips here, so both round every
+    component alike.
+    """
+    out[0] = driver.request_overhead
+    out[1] = server.soft_parse + server.per_record_search * records
+    if first:
+        out[1] += server.hard_parse
+    out[2] = refills * server.disk_access_per_refill
+    out[3] = transport_time(records * float(workload.record_bytes), net)
+    out[4] = records * float(len(workload.field_byte_sizes)) * driver.per_field_conversion
+
+
 def simulate_fetch(
     workload: WorkloadSpec,
     net: NetworkSpec,
@@ -248,15 +275,11 @@ def simulate_fetch(
     batch = min(f, n)
     cache = min(server.server_cache_size, max(n, 1))
     records = np.minimum(batch, n - batch * np.arange(trips))
-    refills = -(-np.cumsum(records) // cache)  # ceil(records served / cache)
+    refills = np.diff(-(-np.cumsum(records) // cache), prepend=0)  # per trip
     block = np.empty((trips, 5))
-    block[:, 0] = driver.request_overhead
-    block[:, 1] = server.soft_parse + server.per_record_search * records
-    block[:1, 1] += server.hard_parse
-    block[:, 2] = np.diff(refills, prepend=0) * server.disk_access_per_refill
-    block[:, 3] = transport_time(records * float(workload.record_bytes), net)
-    block[:, 4] = (records * float(len(workload.field_byte_sizes))
-                   * driver.per_field_conversion)
+    for rows, first in ((slice(None, 1), True), (slice(1, None), False)):
+        _price_trips(block[rows].T, records[rows], refills[rows], first, workload, net,
+                     server, driver)
     if jitter:
         stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
         block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
@@ -269,6 +292,53 @@ def simulate_fetch(
     checked_total(total)  # every printed time is then finite
     records.flags.writeable = block.flags.writeable = totals.flags.writeable = False
     return LatencyTrace(records, block, f, n, totals, total)
+
+
+def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSpec,
+                      driver: DriverSpec) -> float:
+    """simulate_fetch(workload, net, server, driver).total_elapsed_ms, in O(1).
+
+    Without jitter every trip is one of at most four kinds: the first,
+    which also pays the hard parse; full trips triggering batch // cache
+    refills; full trips triggering one more; and the last.  Each kind's
+    total is priced once by _price_trips, in simulate_fetch's order,
+    and the kinds' exact sum is rounded once.  math.fsum rounds its exact
+    sum correctly too, so the two totals are the same float, and both
+    raise checked_total's error when the sum leaves float64.  Uses no
+    numpy.
+    """
+    from fractions import Fraction
+
+    f = effective_prefetch(driver)
+    n = workload.total_records
+    trips = round_trips(n, f)
+    if not trips:
+        return 0.0
+    batch = min(f, n)
+    cache = min(server.server_cache_size, n)
+
+    def served_refills(served: int) -> int:
+        return -(-served // cache)
+
+    kinds = [(batch, served_refills(batch), True, 1)]  # (records, refills, first, count)
+    if trips > 1:
+        before_last = batch * (trips - 1)
+        middle = trips - 2
+        few = batch // cache  # a full trip triggers few or few + 1 refills
+        more = served_refills(before_last) - served_refills(batch) - few * middle
+        kinds += [(batch, few, False, middle - more), (batch, few + 1, False, more),
+                  (n - before_last, served_refills(n) - served_refills(before_last), False, 1)]
+    exact = Fraction(0)
+    trip = [0.0] * 5
+    for records, refills, first, count in kinds:
+        if count:
+            _price_trips(trip, records, refills, first, workload, net, server, driver)
+            r, e, a, t, c = trip
+            exact += Fraction(checked_total(r + e + a + t + c)) * count
+    try:
+        return float(exact)
+    except OverflowError:  # finite trips whose sum leaves float64
+        return checked_total(math.inf)
 
 
 def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:

@@ -462,9 +462,12 @@ class TestFit:
 
 
 class TestNumpyFreeCommands:
-    """Only the commands that build arrays import numpy."""
+    """Only the commands that build arrays import numpy.
 
-    @pytest.mark.parametrize("command", ["recommend", "recommend_capped", "fit",
+    baseline.cfg runs at jitter 0, so its sim-mode sweep builds none.
+    """
+
+    @pytest.mark.parametrize("command", ["recommend", "recommend_capped", "fit", "sweep_sim",
                                          "sweep_quantized", "sweep_reciprocal"])
     def test_runs_and_prints_the_same_with_numpy_blocked(self, tmp_path, command):
         samples = tmp_path / "samples.csv"
@@ -684,6 +687,21 @@ class TestConfigErrors:
         assert captured.err.startswith("error: elapsed time overflows float64")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output file
 
+    @pytest.mark.parametrize("jitter", ["0", "0.1"])  # priced exactly, and simulated
+    @pytest.mark.parametrize("search_ms, rc", [("1e306", EXIT_MODEL), ("1e303", EXIT_OK)])
+    def test_sim_sweep_total_overflow_at_scale(self, tmp_path, capsys, jitter, search_ms, rc):
+        # At N = 5e4 records, 1e306 ms of search each leaves float64; 1e303 ms does not.
+        cfg = config_file(tmp_path, {"server.per_record_search_ms": search_ms,
+                                     "workload.total_records": "50000"})
+        assert cli.main(command_args(tmp_path, "sweep", cfg) + ["--jitter", jitter]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_OK:
+            assert err == ""
+        else:
+            assert err == ("error: elapsed time overflows float64; "
+                           "the configured costs are too large\n")
+            assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output file
+
     def test_readme_key_table_matches_key_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
@@ -829,12 +847,18 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of `sweep baseline.cfg --mode sim --jitter 0.1 --seed 7 --f-range 1:50`.
+JITTERED_SWEEP_DIGEST = "dcf2aa94d1cc19bb2f29a1ade90499fd62233a1bc1be6d70771dfd0c1595a2ec"
+
+
 class TestGoldenDigests:
     """Every preset's CLI outputs are byte-identical to the frozen digests.
 
     Every preset runs at jitter 0 and its trace is mostly exact zeros, so
-    no digest depends on numpy's RNG or float reductions.  When an output
-    changes on purpose, regenerate the table from an empty directory:
+    no preset digest depends on numpy's RNG or float reductions.  The one
+    jittered sim-mode sweep, JITTERED_SWEEP_DIGEST, does: it pins the path
+    that still simulates each size.  When an output changes on purpose,
+    regenerate the table from an empty directory:
 
         rf() { PYTHONPATH=<repo>/src python -m rowfetch.cli "$@"; }
         for p in baseline near_path far_path tiny_result; do
@@ -847,6 +871,8 @@ class TestGoldenDigests:
           sha256sum sim.tsv quantized.tsv reciprocal.tsv
           rf recommend $p.cfg --budget-bytes 1000000 | sha256sum    # recommend
         done
+        rf sweep baseline.cfg --mode sim --jitter 0.1 --seed 7 --f-range 1:50 \\
+          --out jittered.tsv > /dev/null && sha256sum jittered.tsv
     """
 
     @pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
@@ -869,3 +895,9 @@ class TestGoldenDigests:
         outputs["recommend"] = stdout_of("recommend", f"{preset}.cfg", "--budget-bytes", "1000000")
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
         assert digests == GOLDEN_DIGESTS[preset]
+
+    def test_jittered_sim_sweep_matches_frozen_digest(self, tmp_path):
+        out = tmp_path / "jittered.tsv"
+        assert cli.main(["sweep", "baseline.cfg", "--mode", "sim", "--jitter", "0.1",
+                         "--seed", "7", "--f-range", "1:50", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == JITTERED_SWEEP_DIGEST

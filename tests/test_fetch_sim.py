@@ -23,6 +23,7 @@ from rowfetch.fetch_sim import (
     ServerSpec,
     cost_constants,
     effective_prefetch,
+    jitter_free_total,
     simulate_fetch,
     stage_breakdown,
     transport_time,
@@ -207,6 +208,34 @@ class TestSimulateFetch:
         slow = ServerSpec(per_record_search=1e306)
         with pytest.raises(ValueError, match="overflows"):
             simulate_fetch(WIDE, WAN, slow, DRIVER, seed=1, jitter=jitter)
+
+
+class TestJitterFreeTotal:
+    @pytest.mark.parametrize("n, f", [
+        (0, 10), (1, 1), (502, 600), (502, 502), (502, 503),  # no trip, then one
+        (502, 251), (502, 300),  # two trips, the last full or short
+        (502, 99), (502, 100), (502, 101), (502, 168),  # around the cache size
+    ])
+    def test_is_the_simulated_total(self, n, f):
+        workload = WorkloadSpec(n, WIDE.field_byte_sizes)
+        driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+        simulated = simulate_fetch(workload, WAN, SERVER, driver).total_elapsed_ms
+        assert repr(jitter_free_total(workload, WAN, SERVER, driver)) == repr(simulated)
+
+    @pytest.mark.parametrize("f", [1, 168, 2**53])
+    def test_prices_2_to_53_records_in_constant_work(self, f):
+        # Never simulated: 2**53 trips of arrays would not fit in memory.
+        workload = WorkloadSpec(2**53, WIDE.field_byte_sizes)
+        driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+        k = cost_constants(workload, WAN, SERVER, driver)
+        assert jitter_free_total(workload, WAN, SERVER, driver) == pytest.approx(
+            quantized_cost(FetchPlan(f, 2**53), k), rel=1e-12)
+
+    def test_rejects_a_total_past_float64(self):
+        # Finite trips whose sum overflows, then a trip that is itself infinite.
+        for search in (1e306, 1e308):
+            with pytest.raises(ValueError, match="overflows"):
+                jitter_free_total(WIDE, WAN, ServerSpec(per_record_search=search), DRIVER)
 
 
 class TestJitter:
@@ -403,17 +432,18 @@ costs = st.floats(0.0, 100.0)
 
 
 @st.composite
-def scenarios(draw, prefetch=st.integers(1, 700)):
+def scenarios(draw, prefetch=st.integers(1, 700), records=st.integers(0, 600),
+              cache=st.integers(1, 300)):
     """(workload, net, server, driver) with every component exercised."""
     fields = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=4))
     hops = draw(st.lists(st.builds(HopSpec, st.floats(50.0, 5000.0), costs,
                                    st.floats(0.5, 1.0)), max_size=3))
     server = ServerSpec(draw(costs), draw(costs), draw(st.floats(0.0, 0.2)),
-                        draw(st.integers(1, 300)), draw(costs))
+                        draw(cache), draw(costs))
     driver = DriverSpec(enforced_prefetch=draw(prefetch),
                         per_field_conversion=draw(st.floats(0.0, 0.1)),
                         request_overhead=draw(costs))
-    return WorkloadSpec(draw(st.integers(0, 600)), fields), NetworkSpec(hops), server, driver
+    return WorkloadSpec(draw(records), fields), NetworkSpec(hops), server, driver
 
 
 class TestSimulatorProperties:
@@ -448,6 +478,13 @@ class TestSimulatorProperties:
             simulated = simulate_fetch(w, net, server, driver).total_elapsed_ms
             assert predicted == pytest.approx(simulated, rel=1e-12, abs=0.0)
         assert predicted == simulated == 0.0
+
+    @settings(deadline=None)
+    @given(scenarios(prefetch=st.integers(1, 1100) | st.integers(1, 2**53),
+                     records=st.integers(0, 200_000), cache=st.integers(1, 1000)))
+    def test_jitter_free_total_is_the_simulated_total(self, scenario):
+        assert repr(jitter_free_total(*scenario)) == repr(simulate_fetch(*scenario)
+                                                          .total_elapsed_ms)
 
     @given(scenarios(), seeds, jitters)
     def test_jittered_components_stay_within_band(self, scenario, seed, jitter):

@@ -84,9 +84,18 @@ def test_analyze_trace_reaches_each_spanned_step_once(monkeypatch):
 def test_sim_sweep_simulates_once_per_size(monkeypatch, tmp_path):
     calls = counting(monkeypatch, fetch_sim, "simulate_fetch")
     assert cli.main(["sweep", "baseline.cfg", "--f-range", "3:9", "--mode", "sim",
-                     "--out", str(tmp_path / "sweep.tsv")]) == cli.EXIT_OK
+                     "--jitter", "0.1", "--out", str(tmp_path / "sweep.tsv")]) == cli.EXIT_OK
     # One past HI as well, for the last row's forward difference.
     assert [args[3].enforced_prefetch for args, _ in calls] == list(range(3, 11))
+
+
+def test_jitter_free_sim_sweep_prices_once_per_size(monkeypatch, tmp_path):
+    simulated = counting(monkeypatch, fetch_sim, "simulate_fetch")
+    priced = counting(monkeypatch, fetch_sim, "jitter_free_total")
+    assert cli.main(["sweep", "baseline.cfg", "--f-range", "3:9", "--mode", "sim",
+                     "--out", str(tmp_path / "sweep.tsv")]) == cli.EXIT_OK
+    assert simulated == []
+    assert [args[3].enforced_prefetch for args, _ in priced] == list(range(3, 11))
 
 
 @pytest.mark.parametrize("argv", [
