@@ -31,7 +31,8 @@ peaks are found and read by position.  An empty trace has no peaks.
 The rule is checked a fixed block of rows at a time, so analysis holds
 the reader's 16 bytes per row plus O(peaks) data and 1-byte masks; the
 statistical rule adds one n-length float64 copy, in which the stdev and
-the median are taken in turn.
+then the median are taken; the median by partitioning that copy, as
+np.median does, but without its NaN check and so without numpy.ma.
 The median, mean and population stdev are computed in float64, on the
 values scaled by the power of two that brings the largest into [0.5, 1); only
 the mean over the peak rows (avg_trip_time) is exact: the exact sum divided
@@ -129,7 +130,7 @@ def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) ->
     mean = scaled.mean()
     spread = mean + sigma_k * _std_in_place(scaled, mean)
     np.ldexp(values, exponent, out=scaled)
-    median = np.median(scaled, overwrite_input=True)
+    median = _median_in_place(scaled)
     np.ldexp(values, exponent, out=scaled)  # undo the median's partition
     return scaled > max(median_ratio * median, spread)
 
@@ -144,6 +145,20 @@ def _std_in_place(x: np.ndarray, mean: np.floating) -> np.floating:
     np.subtract(x, mean, out=x)
     np.square(x, out=x)
     return np.sqrt(np.add.reduce(x) / len(x))
+
+
+def _median_in_place(x: np.ndarray) -> np.floating:
+    """np.median(x) bit for bit, for a non-empty x without NaNs, partitioning x.
+
+    These are numpy's own steps (_median): partition x about its middle
+    one or two positions, then take the mean of those entries.  Only
+    np.median's NaN check is left out, which the trace rule makes moot
+    and which would import numpy.ma.
+    """
+    half = len(x) // 2
+    kth = (half - 1, half) if len(x) % 2 == 0 else (half,)
+    x.partition(kth)
+    return x[kth[0]:half + 1].mean()
 
 
 def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:
@@ -221,17 +236,22 @@ def analyze_trace(
 
 # np.loadtxt opens a path ending in one of these as a compressed file.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# The body as parsed: row indices as int64, turned into float64 in place.
+_TRACE_DTYPE = np.dtype([("row", np.int64), ("ms", np.float64)])
 
 
 def read_trace_samples(path) -> np.ndarray:
     """Load a row_index,elapsed_ms CSV as an (n, 2) float64 array.
 
-    The header must match and the rows must obey the trace rule;
-    otherwise TraceFormatError names the first bad line.  Empty lines
-    are skipped, but a line of only spaces or tabs is a bad row.  The
-    header is checked on a plain open, so a path that is missing or not
-    a plain-text trace fails there; the body is then read by path, which
-    lets numpy parse it in chunks rather than line by line.
+    The header must match and the rows must obey the trace rule, with
+    each row index a decimal integer; otherwise TraceFormatError names
+    the first bad line.  Empty lines are skipped, but a line of only
+    spaces or tabs is a bad row.  The header is checked on a plain open,
+    so a path that is missing or not a plain-text trace fails there; the
+    body is then read by path, which lets numpy parse it in chunks rather
+    than line by line.  The row indices are parsed as int64 and, once
+    checked, overwritten in place by their float64 values, so the
+    returned array is the parsed table itself.
     """
     # Undecodable bytes become U+FFFD, which cannot match the header.
     with open(path, newline="", errors="replace") as fh:
@@ -244,13 +264,22 @@ def read_trace_samples(path) -> np.ndarray:
         with warnings.catch_warnings():
             # A header-only trace is valid: it is simply empty.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # Older numpy parses a float-formatted int64 field with only this warning.
+            warnings.filterwarnings("error", "loadtxt.*integer via a float", DeprecationWarning)
             # An absolute path is never taken for a URL.  An undecodable
             # byte raises UnicodeDecodeError, a ValueError.
-            samples = np.loadtxt(os.path.abspath(path), skiprows=1, encoding="utf-8",
-                                 delimiter=",", dtype=np.float64, comments=None,
-                                 usecols=(0, 1), ndmin=2)
-        return _sample_array(samples)
-    except ValueError as exc:
+            table = np.loadtxt(os.path.abspath(path), skiprows=1, encoding="utf-8",
+                               delimiter=",", dtype=_TRACE_DTYPE, comments=None,
+                               usecols=(0, 1), ndmin=1)
+        samples = table.view(np.float64).reshape(-1, 2)
+        for lo in range(0, len(table), _BLOCK_ROWS):
+            block = table[lo:lo + _BLOCK_ROWS]
+            rows = np.arange(lo + 1, lo + len(block) + 1)
+            if not (np.array_equal(block["row"], rows) and np.isfinite(block["ms"]).all()):
+                raise ValueError(_TRACE_RULE)
+            samples[lo:lo + len(block), 0] = rows
+        return samples
+    except (ValueError, DeprecationWarning) as exc:
         raise TraceFormatError(_first_bad_line(path)) from exc
 
 
@@ -271,7 +300,7 @@ def _first_bad_line(path) -> str:
             fields = text.split(",")
             try:
                 text.encode("utf-8")
-                row, ms = _number(fields[0]), _number(fields[1])
+                row, ms = _row_number(fields[0]), _number(fields[1])
             except (IndexError, ValueError):
                 return f"{path}:{lineno}: bad sample row: {text!r}"
             if row != expected:
@@ -280,6 +309,18 @@ def _first_bad_line(path) -> str:
                 return f"{path}:{lineno}: elapsed_ms {fields[1].strip()} is not finite"
             expected += 1
     return f"{path}: unreadable sample rows"
+
+
+def _row_number(field: str) -> int:
+    # np.loadtxt parses an int64 as one optional sign and ASCII digits,
+    # stripped of the whitespace str.strip strips.
+    field = field.strip()
+    if not (field.isascii() and field.lstrip("+-").isdigit()):
+        raise ValueError(field)
+    row = int(field)  # a second sign is a ValueError
+    if not -2**63 <= row < 2**63:
+        raise ValueError(field)
+    return row
 
 
 def _number(field: str) -> float:

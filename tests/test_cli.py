@@ -68,6 +68,8 @@ README_SAMPLES = ((5, 46136.4), (10, 23236.4), (25, 9496.4), (60, 4304.4),
 
 # Any import of numpy in a child process started with this prelude fails.
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+# Likewise for numpy.ma, which np.median imports.
+BLOCK_NUMPY_MA = "import sys; sys.modules['numpy.ma'] = None; "
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -280,8 +282,10 @@ class TestAnalyze:
         (b"1,0.5\n2,0.4,\xff\n", 3),
         ("1,\xa00.0\n2,5.0\n3,x\n".encode(), 4),
         (b"1,0.5\n   \n2,0.4\n", 3),
+        (b"1,0.5\n2.0,0.4\n3,0.5\n", 3),
     ], ids=["nan", "inf", "duplicate", "gap", "unsorted", "not_a_number", "missing_column",
-            "not_utf8", "not_utf8_extra_column", "after_unicode_space", "spaces_only"])
+            "not_utf8", "not_utf8_extra_column", "after_unicode_space", "spaces_only",
+            "float_row_index"])
     def test_bad_rows_exit_input_naming_line(self, tmp_path, capsys, body, line):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"row_index,elapsed_ms\n" + body)
@@ -487,6 +491,20 @@ class TestNumpyFreeCommands:
         done = run_python(BLOCK_NUMPY + "import rowfetch; from rowfetch import "
                           "CostConstants, MemoryBudget, fit_cost_model, recommend")
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_statistical_analyze_runs_with_numpy_ma_blocked(self, tmp_path):
+        # numpy.ma would add about 1.2 MB to analyze's peak memory.
+        if run_python(BLOCK_NUMPY_MA + "import numpy").returncode:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        trace = tmp_path / "t.csv"
+        trace.write_text("row_index,elapsed_ms\n" + "".join(
+            f"{row},{400.0 + row if row % 37 == 1 and row > 1 else 1.0 + row % 7 / 1000}\n"
+            for row in range(1, 201)))
+        done = [run_cli("analyze", str(trace), prelude=prelude)
+                for prelude in (BLOCK_NUMPY_MA, "")]
+        assert [(d.returncode, d.stderr) for d in done] == [(EXIT_OK, "")] * 2
+        assert done[0].stdout == done[1].stdout
+        assert json.loads(done[0].stdout)["peak_rows"] == [38, 75, 112, 149, 186]
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_array_commands_load_no_exact_arithmetic(self, tmp_path, command):

@@ -33,10 +33,13 @@ from rowfetch.fetch_sim import (
 )
 from rowfetch.trace_analysis import (
     _BLOCK_ROWS,
+    _TRACE_DTYPE,
     PeakReport,
     TraceFormatError,
     _above_threshold,
+    _median_in_place,
     _number,
+    _row_number,
     _std_in_place,
     analyze_trace,
     avg_trip_time_from_trace,
@@ -222,6 +225,18 @@ class TestDetectPeaks:
         scaled = np.ldexp(column, -np.frexp(max(column.max(), -column.min()))[1])
         expected = scaled.std()
         got = _std_in_place(scaled.copy(), scaled.mean())
+        assert float(got).hex() == float(expected).hex()
+
+    @example([7.25])  # n = 1
+    @example([DBL_MAX, DBL_MAX])  # n = 2, and the middle values' sum overflows
+    @example([5e-324, 1e-320, -5e-324])  # subnormals only
+    @example([-DBL_MAX, DBL_MAX, 0.0, -0.0])
+    @example([0.0, -0.0, -0.0, 0.0, 0.0])  # which zero lands in the middle
+    @given(VALUES)
+    def test_partition_median_is_numpys_bit_for_bit(self, values):
+        with np.errstate(over="ignore"):
+            expected = np.median(values)
+            got = _median_in_place(np.array(values))
         assert float(got).hex() == float(expected).hex()
 
     def test_threshold_knobs_are_live(self):
@@ -587,6 +602,28 @@ class TestTraceCsvReader:
         with pytest.raises(TraceFormatError):
             read_trace_samples(path)
 
+    @example([], "\n", True)  # header only
+    @example([], "\r\n", False)  # header only, without a line end
+    @example([0.5], "\r", False)  # one row
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+           st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n"]), st.booleans())
+    def test_array_is_the_float64_parse(self, values, end, final_end):
+        # Parsed as int64 and converted in place, the rows must read to the
+        # very array a float64 parse of the file gives.
+        text = end.join(["row_index,elapsed_ms"]
+                        + [f"{row},{ms!r}" for row, ms in enumerate(values, start=1)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_bytes((text + end * final_end).encode())
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                expected = np.loadtxt(path, skiprows=1, encoding="utf-8", delimiter=",",
+                                      dtype=np.float64, comments=None, ndmin=2)
+            samples = read_trace_samples(path)
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
+        assert samples.shape == (len(values), 2)
+        assert samples.tobytes() == expected.tobytes()
+
     def test_header_only_trace_is_empty_without_warning(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("row_index,elapsed_ms\n")
@@ -656,3 +693,30 @@ class TestTraceCsvReader:
             assert value is None and expected is None
         else:
             assert value == expected or math.isnan(value) and math.isnan(expected)
+
+    @example("1.0")
+    @example("1e0")
+    @example("1_0")
+    @example(str(2**63 - 1))
+    @example(str(2**63))
+    @given(st.text(st.sampled_from(list("0123456789\u0661.eE+-_infaxNI\x00") + SPACES), max_size=10)
+           | st.builds(lambda before, value, after: before + str(value) + after,
+                       st.sampled_from(SPACES), st.integers(-2**64, 2**64) | st.integers(),
+                       st.sampled_from(SPACES)))
+    def test_row_field_parser_agrees_with_numpy(self, field):
+        # _first_bad_line re-reads a failed trace with _row_number, so it
+        # must accept exactly the row fields the reader's int64 parse
+        # accepts, with the same value; the float fallback of older numpy
+        # is a bad row to the reader.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                expected = np.loadtxt(io.StringIO(f"{field},0.5\n"), delimiter=",",
+                                      comments=None, dtype=_TRACE_DTYPE, ndmin=1)["row"][0]
+        except (ValueError, DeprecationWarning):
+            expected = None
+        try:
+            value = _row_number(field)
+        except ValueError:
+            value = None
+        assert value == expected
