@@ -7,8 +7,8 @@ a memory budget).
 
 Exit codes: 0 success, 2 usage error, 3 malformed input (config, trace,
 samples file or flag value), 4 model error (unfittable or untunable
-data).  The ROWFETCH_SEED environment variable overrides the config
-seed; a --seed flag overrides both.  Same inputs and seed always produce
+data).  simulate and sweep take --seed and --jitter, which override
+run.seed and run.jitter.  Same inputs and seed always produce
 byte-identical outputs.
 
 Only simulate, analyze and a jittered sim-mode sweep build arrays, and
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,30 +36,14 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_MODEL = 4
 
-SEED_ENV = "ROWFETCH_SEED"
-
 # The flag behind each field a FieldError can name; any other field is the model's.
 _FLAG_OF = {"jitter": "--jitter", "median_ratio": "--median-ratio",
             "sigma_k": "--sigma-k", "max_bytes": "--budget-bytes", "zero_run": "--zero-run"}
 
 
-def _effective_seed(cfg: RunConfig, flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(SEED_ENV, f"expected an integer, got {env!r}") from None
-    return cfg.seed
-
-
 def _run_config(args) -> RunConfig:
-    """The config with the seed and --jitter overrides applied and checked."""
-    cfg = load_config(args.config)
-    return replace(cfg, seed=_effective_seed(cfg, args.seed),
-                   jitter=cfg.jitter if args.jitter is None else args.jitter)
+    """The config with --seed and --jitter applied and checked."""
+    return load_config(args.config, seed=args.seed, jitter=args.jitter)
 
 
 def cmd_simulate(args) -> int:
@@ -162,13 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Row-prefetch performance lab: simulate, analyze, sweep, fit, recommend.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate one fetch and write trace CSVs")
-    p.add_argument("config", help="config file path or bundled preset name")
+    # The inputs of a run: simulate and sweep share them.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("config", help="config file path or bundled preset name")
+    run.add_argument("--seed", type=int, help="override run.seed")
+    run.add_argument("--jitter", type=float, help="override run.jitter")
+
+    p = sub.add_parser("simulate", parents=[run],
+                       help="simulate one fetch and write trace CSVs")
     p.add_argument("--out-trace", required=True, help="per-row samples CSV path")
     p.add_argument("--out-trips", help="trip component CSV path "
                                        "(default: <out-trace>_trips.csv)")
-    p.add_argument("--seed", type=int, help="override config / env seed")
-    p.add_argument("--jitter", type=float, help="override config jitter")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", help="peak report for a latency trace CSV")
@@ -179,14 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="peak threshold in standard deviations above the mean")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="elapsed vs prefetch size over a range")
-    p.add_argument("config", help="config file path or bundled preset name")
+    p = sub.add_parser("sweep", parents=[run], help="elapsed vs prefetch size over a range")
     p.add_argument("--f-range", required=True, help="inclusive range LO:HI")
     p.add_argument("--out", required=True, help="output TSV path")
     p.add_argument("--mode", choices=("sim", "quantized", "reciprocal"),
                    default="sim", help="simulate per size, or draw a model curve")
-    p.add_argument("--seed", type=int, help="override config / env seed")
-    p.add_argument("--jitter", type=float, help="override config jitter")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("fit", help="fit the cost constants to f,elapsed_ms samples")

@@ -20,7 +20,9 @@ one spec dataclass (WorkloadSpec, HopSpec, ServerSpec, DriverSpec or
 RunConfig; network.hops is the hop count) and the parser for its text.
 An absent key takes its field's dataclass default, and a field with no
 default is a required key.  Each spec checks its own fields, and a value
-it rejects is reported under the key that set it.
+it rejects is reported under the key that set it.  A seed or jitter
+the caller passes (the --seed and --jitter flags) replaces run.seed or
+run.jitter, and jitter > 0 needs a seed from one of the two.
 
 Bundled scenario presets live next to this module and can be named on
 the command line anywhere a config path is accepted.
@@ -29,7 +31,7 @@ the command line anywhere a config path is accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .core_model import FieldError, InputError, WorkloadSpec, require
@@ -76,7 +78,6 @@ _KEYS = {
     "server.per_record_search_ms": ("server", "per_record_search", float, "a number"),
     "server.cache_records": ("server", "server_cache_size", int, "an integer"),
     "server.disk_access_ms": ("server", "disk_access_per_refill", float, "a number"),
-    "driver.recommended_prefetch": ("driver", "recommended_prefetch", int, "an integer"),
     "driver.enforced_prefetch": ("driver", "enforced_prefetch", int, "an integer"),
     "driver.default_prefetch": ("driver", "default_prefetch", int, "an integer"),
     "driver.per_field_conversion_ms": ("driver", "per_field_conversion", float, "a number"),
@@ -120,7 +121,11 @@ def _build(cls, spec: str, **kwargs):
         raise ConfigError(_KEY_OF[(spec, exc.field)], exc.rule) from None
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, seed: int | None = None, jitter: float | None = None) -> RunConfig:
+    """The config in text, a given seed or jitter replacing run.seed or run.jitter.
+
+    A given jitter outside [0, 1] is a FieldError("jitter"), as no key set it.
+    """
     specs = _parse_fields(text)
     workload = _build(WorkloadSpec, "workload", **specs["workload"])
     hops_key, count = _KEY_OF[("network", "hops")], specs["network"].get("hops")
@@ -149,8 +154,10 @@ def parse_config(text: str) -> RunConfig:
     driver = _build(DriverSpec, "driver", **specs["driver"])
     cfg = _build(RunConfig, "run", workload=workload, network=network, server=server,
                  driver=driver, **specs["run"])
-    if cfg.jitter > 0 and "seed" not in specs["run"]:
-        raise ConfigError(_KEY_OF[("run", "seed")], "required when run.jitter > 0")
+    cfg = replace(cfg, seed=cfg.seed if seed is None else seed,
+                  jitter=cfg.jitter if jitter is None else jitter)
+    if cfg.jitter > 0 and seed is None and "seed" not in specs["run"]:
+        raise ConfigError(_KEY_OF[("run", "seed")], "required when jitter > 0")
     return cfg
 
 
@@ -174,8 +181,9 @@ def resolve_config_path(name_or_path: str) -> Path:
         f"(presets: {', '.join(list_presets())})")
 
 
-def load_config(name_or_path: str) -> RunConfig:
+def load_config(name_or_path: str, seed: int | None = None,
+                jitter: float | None = None) -> RunConfig:
     path = resolve_config_path(name_or_path)
     # Undecodable bytes become U+FFFD, so they fail as a bad value or an
     # unknown key that names its key, like any other malformed input.
-    return parse_config(path.read_text(errors="replace"))
+    return parse_config(path.read_text(errors="replace"), seed, jitter)

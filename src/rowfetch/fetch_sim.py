@@ -99,21 +99,18 @@ class ServerSpec:
 class DriverSpec:
     """Client-driver knobs.
 
-    What the application asked for (recommended_prefetch) is recorded but
-    deliberately never used: the size in force is the enforced override
-    when present, else the driver default.
+    The size in force is the enforced override when present, else the
+    driver default.
     """
 
-    recommended_prefetch: int | None = None
     enforced_prefetch: int | None = None
     default_prefetch: int = 10
     per_field_conversion: float = 0.0
     request_overhead: float = 0.0
 
     def __post_init__(self):
-        for name in ("recommended_prefetch", "enforced_prefetch"):
-            value = getattr(self, name)
-            require(value is None or value >= 1, name, "must be >= 1 when set")
+        require(self.enforced_prefetch is None or self.enforced_prefetch >= 1,
+                "enforced_prefetch", "must be >= 1 when set")
         require(self.default_prefetch >= 1, "default_prefetch", "must be >= 1")
         for name in ("per_field_conversion", "request_overhead"):
             require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")

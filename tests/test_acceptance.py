@@ -86,7 +86,7 @@ def test_round_trip_counts():
     report("round-trip-counts", problems, f"{len(cases)} exact cases")
 
 
-def test_recommended_prefetch_for_reference_workload():
+def test_recommendation_for_reference_workload():
     """502 records: threshold 168, optimal 168, exactly 3 round trips."""
     problems = []
     threshold = threshold_prefetch(502)

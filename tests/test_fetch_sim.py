@@ -34,8 +34,7 @@ WIDE = WorkloadSpec(502, (50, 4000, 8, 16))
 WAN = NetworkSpec.uniform(2, 600.0, 150.0, 0.9)
 SERVER = ServerSpec(hard_parse=40.0, soft_parse=3.0, per_record_search=0.05,
                     server_cache_size=100, disk_access_per_refill=12.0)
-DRIVER = DriverSpec(recommended_prefetch=100, default_prefetch=10,
-                    per_field_conversion=0.05, request_overhead=2.0)
+DRIVER = DriverSpec(default_prefetch=10, per_field_conversion=0.05, request_overhead=2.0)
 
 
 def peak_rows(trace):
@@ -75,11 +74,11 @@ def assert_matches_reference(tmp_path, n, f, jitter):
 
 class TestEffectivePrefetch:
     def test_default_wins_without_enforcement(self):
-        d = DriverSpec(recommended_prefetch=100, default_prefetch=10)
-        assert effective_prefetch(d) == 10
+        d = DriverSpec(default_prefetch=12)
+        assert effective_prefetch(d) == 12
 
     def test_enforced_override_wins(self):
-        d = DriverSpec(recommended_prefetch=20, enforced_prefetch=20)
+        d = DriverSpec(enforced_prefetch=20)
         assert effective_prefetch(d) == 20
 
     def test_plain_default(self):
