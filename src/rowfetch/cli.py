@@ -17,12 +17,19 @@ build arrays, and trace_analysis and model_fit (whose exact arithmetic
 the array commands do not need) are imported inside the commands that
 use them.  A jitter-free sim-mode sweep prices each size exactly with
 fetch_sim.jitter_free_total, which builds no array.
+
+Run as a program (the rowfetch script or python -m rowfetch.cli), the
+CLI sets OPENBLAS_NUM_THREADS=1 unless the environment already sets it,
+before numpy is first imported.  No rowfetch code calls a BLAS routine,
+so OpenBLAS's worker threads would only cost start-up time.  main()
+leaves the environment alone, for callers that run it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -128,7 +135,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    cfg = load_config(args.config)
+    # The jitter-free law is priced, so a jittered config needs no seed here.
+    cfg = load_config(args.config, jitter=0.0)
     n = cfg.workload.total_records
     budget = tuner.MemoryBudget(args.budget_bytes, cfg.workload.record_bytes)
     k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver)
@@ -205,6 +213,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # Before numpy is imported, so OpenBLAS starts no thread pool that nothing uses.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

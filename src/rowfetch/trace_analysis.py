@@ -28,6 +28,7 @@ analysis functions accept that array or any sequence of pairs.  One
 rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
+analyze_trace checks the rule once for all the steps it runs.
 The rule is checked a fixed block of rows at a time, so analysis holds
 the reader's 16 bytes per row plus O(peaks) data and 1-byte masks; the
 statistical rule adds one n-length float64 copy, in which the stdev and
@@ -75,26 +76,40 @@ _BLOCK_ROWS = 1 << 16
 _TRACE_RULE = "trace rows must be numbered 1..n with finite elapsed_ms"
 
 
-def _as_array(samples: Samples) -> np.ndarray:
-    """View samples as an (n, 2) float64 array; an array of that shape is returned as is.
+class _Checked(np.ndarray):
+    """A view of an (n, 2) float64 array that obeys the trace rule.
 
-    Any other non-empty shape (a flat sequence, rows of four) breaks the trace rule.
+    analyze_trace checks its trace once and hands this view to
+    detect_peaks and avg_trip_time_from_trace, which then skip the check.
+    It calls them through the module, not through private bodies, so that
+    bench/probe.py, which patches them there, still times each step.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size and (samples.ndim != 2 or samples.shape[1] != 2):
-        raise ValueError(_TRACE_RULE)
-    return samples.reshape(-1, 2)
 
 
 def _sample_array(samples: Samples) -> np.ndarray:
-    """View samples as an (n, 2) float64 array, checked against the trace rule."""
-    samples = _as_array(samples)
+    """View samples as an (n, 2) float64 array, checked against the trace rule.
+
+    An array of that shape is viewed as is, and any other non-empty shape
+    (a flat sequence, rows of four) breaks the rule.  A _Checked view is
+    not checked again.
+    """
+    if isinstance(samples, _Checked):
+        return samples.view(np.ndarray)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size and (samples.ndim != 2 or samples.shape[1] != 2):
+        raise ValueError(_TRACE_RULE)
+    samples = samples.reshape(-1, 2)
+    _check_trace_rule(samples)
+    return samples
+
+
+def _check_trace_rule(samples: np.ndarray) -> None:
+    """Raise ValueError unless the (n, 2) array's rows are 1..n with finite elapsed_ms."""
     for lo in range(0, len(samples), _BLOCK_ROWS):
         block = samples[lo:lo + _BLOCK_ROWS]
         if not (np.array_equal(block[:, 0], np.arange(lo + 1, lo + len(block) + 1))
                 and np.isfinite(block[:, 1]).all()):
             raise ValueError(_TRACE_RULE)
-    return samples
 
 
 def detect_peaks(
@@ -227,7 +242,8 @@ def analyze_trace(
     sigma_k: float = 3.0,
 ) -> PeakReport:
     """Full pipeline: detect peaks, average them, infer the prefetch size."""
-    samples = _as_array(samples)  # a sequence of pairs is converted once
+    # A sequence of pairs is converted, and the trace rule checked, once.
+    samples = _sample_array(samples).view(_Checked)
     peaks = detect_peaks(samples, median_ratio=median_ratio, sigma_k=sigma_k)
     # Averaged first, so its temporaries are gone before the report's tuples exist.
     avg_trip_time = avg_trip_time_from_trace(samples, peaks)

@@ -67,18 +67,30 @@ BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 BLOCK_NUMPY_MA = "import sys; sys.modules['numpy.ma'] = None; "
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """`python -c CODE ARGS...` with rowfetch importable, killed after 20 s so a hang fails."""
+# A child process started with this prelude prints, as it exits, its
+# OPENBLAS_NUM_THREADS setting and its thread count (-1 if it cannot count).
+REPORT_THREADS = ("import atexit, os, sys; atexit.register(lambda: print("
+                  "os.environ.get('OPENBLAS_NUM_THREADS'), "
+                  "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+                  "else -1, file=sys.stderr)); ")
+
+
+def run_python(code: str, *args: str, environ=None) -> subprocess.CompletedProcess:
+    """`python -c CODE ARGS...` with rowfetch importable, killed after 20 s so a hang fails.
+
+    The child's environment is environ, by default this process's.
+    """
+    environ = os.environ if environ is None else environ
     src = str(Path(rowfetch.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = {**environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=20)
 
 
-def run_cli(*args: str, prelude: str = "") -> subprocess.CompletedProcess:
+def run_cli(*args: str, prelude: str = "", environ=None) -> subprocess.CompletedProcess:
     """`rowfetch ARGS...` in a child process that first runs prelude."""
-    return run_python(prelude + "from rowfetch.cli import run; run()", *args)
+    return run_python(prelude + "from rowfetch.cli import run; run()", *args, environ=environ)
 
 
 def simulate(tmp_path, config, stem="trace", extra=()):
@@ -553,6 +565,65 @@ class TestNumpyFreeCommands:
         assert (done.returncode, done.stderr) == (EXIT_OK, "[]\n")
 
 
+def numpy_uses_openblas() -> bool:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        return False
+    return "openblas" in blas.lower()
+
+
+class TestBlasThreads:
+    """A CLI process caps OpenBLAS at one thread unless the user set a count.
+
+    Each child's environment lacks OPENBLAS_NUM_THREADS unless a test sets
+    it, so the environment the tests run in cannot mask the result.
+    """
+
+    @staticmethod
+    def environ(**settings):
+        return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | settings
+
+    @staticmethod
+    def argv(tmp_path, command):
+        trace = tmp_path / "t.csv"
+        if command == "simulate":
+            return ["simulate", "baseline.cfg", "--out-trace", str(trace)]
+        assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
+        return ["analyze", str(trace)]
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_unset_count_becomes_one(self, tmp_path, command):
+        done = run_cli(*self.argv(tmp_path, command), prelude=REPORT_THREADS,
+                       environ=self.environ())
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr.split()[0] == "1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted in /proc/self/task")
+    @pytest.mark.skipif(not numpy_uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_process_runs_one_thread(self, tmp_path, command):
+        done = run_cli(*self.argv(tmp_path, command), prelude=REPORT_THREADS,
+                       environ=self.environ())
+        assert (done.returncode, done.stderr) == (EXIT_OK, "1 1\n")
+
+    def test_user_count_is_kept(self, tmp_path):
+        done = run_cli(*self.argv(tmp_path, "analyze"), prelude=REPORT_THREADS,
+                       environ=self.environ(OPENBLAS_NUM_THREADS="2"))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr.split()[0] == "2"
+
+    def test_main_in_process_leaves_the_environment_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        for command in ("simulate", "analyze"):
+            assert cli.main(self.argv(tmp_path, command)) == EXIT_OK
+        assert dict(os.environ) == before
+
+
 class TestRecommend:
     def test_generous_budget(self, capsys):
         rc = cli.main(["recommend", "baseline.cfg", "--budget-bytes", "1000000"])
@@ -615,6 +686,19 @@ class TestRecommend:
                        "--zero-run", "100000000000")
         assert done.returncode == EXIT_OK, done.stderr
         assert json.loads(done.stdout.split("\n\n", 1)[0])["threshold_f"] == 502
+
+    def test_seedless_jittered_config_prices_the_jitter_free_law(self, tmp_path, capsys):
+        outputs = []
+        for jitter in ("0.5", "0"):
+            cfg = config_file(tmp_path, {"run.jitter": jitter}, drop=("run.seed",))
+            assert cli.main(["recommend", cfg, "--budget-bytes", "1000000"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_jitter_out_of_range_still_exit_input(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, {"run.jitter": "2"})
+        assert cli.main(["recommend", cfg, "--budget-bytes", "1000000"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: run.jitter:")
 
     @pytest.mark.parametrize("flags, named", [
         (["--budget-bytes", "0"], "--budget-bytes"),

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rowfetch import cli
+from rowfetch import cli, trace_analysis
 from rowfetch.core_model import FieldError, WorkloadSpec, round_trips
 from rowfetch.fetch_sim import (
     DriverSpec,
@@ -284,6 +284,23 @@ class TestTraceRule:
         report = analyze_trace(pairs)
         assert (report.inferred_prefetch, report.avg_trip_time) == (10, 400.0)
         assert pairs.reads == 1
+
+    def test_analyze_trace_checks_the_rule_once(self, monkeypatch):
+        checks = []
+        check = trace_analysis._check_trace_rule
+
+        def counted(samples):
+            checks.append(len(samples))
+            check(samples)
+
+        monkeypatch.setattr(trace_analysis, "_check_trace_rule", counted)
+        samples = np.array(synthetic(502, {row: 400.0 for row in range(11, 503, 10)}))
+        assert analyze_trace(samples).inferred_prefetch == 10
+        assert checks == [502]
+        # Called alone, each step checks its trace itself.
+        detect_peaks(samples)
+        avg_trip_time_from_trace(samples, [11])
+        assert checks == [502] * 3
 
     @pytest.mark.parametrize("samples", [
         [(1, 0.0), (3, 400.0), (4, 0.0)],
