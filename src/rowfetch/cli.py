@@ -6,16 +6,21 @@ cost constants from measurements), recommend (tuned prefetch size under
 a memory budget).
 
 Exit codes: 0 success, 2 usage error, 3 malformed input (config, trace,
-samples file or flag value), 4 model error (unfittable or untunable
-data).  simulate and sweep take --seed and --jitter, which override
-run.seed and run.jitter.  Same inputs and seed always produce
-byte-identical outputs.
+samples file or flag value) or an input too large for memory, 4 model
+error (unfittable or untunable data).  simulate and sweep take --seed
+and --jitter, which override run.seed and run.jitter.  Same inputs and
+seed always produce byte-identical outputs.
+
+Importing this module loads only core_model, which every command uses.
+Each command imports the layers it runs when it runs: simulate and
+sweep load config and fetch_sim, recommend loads config, fetch_sim and
+tuner, analyze loads trace_analysis, and fit loads model_fit.  Building
+the parser (and so --help) loads none of them.
 
 Only simulate, analyze and a jittered sim-mode sweep build arrays, and
 only they import numpy: fetch_sim imports it inside the functions that
-build arrays, and trace_analysis and model_fit (whose exact arithmetic
-the array commands do not need) are imported inside the commands that
-use them.  A jitter-free sim-mode sweep prices each size exactly with
+build arrays, and trace_analysis imports it at load.  A jitter-free
+sim-mode sweep prices each size exactly with
 fetch_sim.jitter_free_total, which builds no array.
 
 Run as a program (the rowfetch script or python -m rowfetch.cli), the
@@ -33,10 +38,12 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fetch_sim, tuner
-from .config import ConfigError, RunConfig, load_config
 from .core_model import FieldError, InputError, round_trips, sweep_curve
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,12 +55,23 @@ _FLAG_OF = {"jitter": "--jitter", "median_ratio": "--median-ratio",
             "sigma_k": "--sigma-k", "max_bytes": "--budget-bytes", "zero_run": "--zero-run"}
 
 
+# bench/probe.py times config loads by patching this name, so the commands
+# call it rather than config.load_config.  The package's own run stats
+# (ROADMAP item 7) remove it.
+def load_config(*args, **kwargs) -> RunConfig:
+    from . import config
+    return config.load_config(*args, **kwargs)
+
+
 def _run_config(args) -> RunConfig:
     """The config with --seed and --jitter applied and checked."""
     return load_config(args.config, seed=args.seed, jitter=args.jitter)
 
 
 def cmd_simulate(args) -> int:
+    from . import fetch_sim
+    from .config import ConfigError
+
     cfg = _run_config(args)
     trace_path = Path(args.out_trace)
     trips_path = (Path(args.out_trips) if args.out_trips
@@ -90,6 +108,8 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_f_range(spec: str) -> tuple[int, int]:
+    from .config import ConfigError
+
     try:
         lo_text, hi_text = spec.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -101,6 +121,8 @@ def _parse_f_range(spec: str) -> tuple[int, int]:
 
 
 def cmd_sweep(args) -> int:
+    from . import fetch_sim
+
     cfg = _run_config(args)
     lo, hi = _parse_f_range(args.f_range)
     n = cfg.workload.total_records
@@ -135,6 +157,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    from . import fetch_sim, tuner
+
     # The jitter-free law is priced, so a jittered config needs no seed here.
     cfg = load_config(args.config, jitter=0.0)
     n = cfg.workload.total_records
@@ -189,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="config file path or bundled preset name")
     p.add_argument("--budget-bytes", type=int, required=True,
                    help="client prefetch cache ceiling in bytes")
-    p.add_argument("--zero-run", type=int, default=tuner.DEFAULT_ZERO_RUN,
+    # tuner.DEFAULT_ZERO_RUN, written out so that building the parser loads no tuner.
+    p.add_argument("--zero-run", type=int, default=50,
                    help="sizes of sustained zero trip decrease marking the threshold")
     p.set_defaults(fn=cmd_recommend)
     return parser
@@ -206,6 +231,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if flag else EXIT_MODEL
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: the input is too large for memory", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,10 @@ class FieldError(ValueError):
         super().__init__(f"{field} {rule}")
 
 
+# The per-row trace CSV's header: fetch_sim writes it, trace_analysis checks it.
+TRACE_HEADER = ("row_index", "elapsed_ms")
+
+
 def require(ok: bool, field: str, rule: str) -> None:
     """The one validation rule of every spec: raise FieldError unless ok."""
     if not ok:

@@ -39,8 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .core_model import (CostConstants, WorkloadSpec, checked_total, finite_nonneg, require,
-                         round_trips)
+from .core_model import (TRACE_HEADER, CostConstants, WorkloadSpec, checked_total, finite_nonneg,
+                         require, round_trips)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -380,7 +380,6 @@ def cost_constants(
     return CostConstants(a, 0.0, a, 0.0, checked_total(floor))
 
 
-TRACE_HEADER = ("row_index", "elapsed_ms")
 TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 
 

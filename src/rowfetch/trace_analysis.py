@@ -50,8 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import InputError, finite_nonneg, require
-from .fetch_sim import TRACE_HEADER
+from .core_model import TRACE_HEADER, InputError, finite_nonneg, require
 
 Samples = np.ndarray | Sequence[tuple[int, float]]
 

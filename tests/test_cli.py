@@ -11,6 +11,7 @@ import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import rowfetch
-from rowfetch import cli, config, fetch_sim
+from rowfetch import cli, config, fetch_sim, trace_analysis, tuner
 from rowfetch.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, EXIT_USAGE
 from rowfetch.config import list_presets, load_config
 from rowfetch.core_model import CostConstants, FetchPlan, quantized_cost, round_trips
@@ -67,6 +68,16 @@ BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 BLOCK_NUMPY_MA = "import sys; sys.modules['numpy.ma'] = None; "
 
 
+def block_layers(*layers: str) -> str:
+    """A prelude after which importing any of the named rowfetch modules fails."""
+    return f"import sys; sys.modules.update(dict.fromkeys({[f'rowfetch.{m}' for m in layers]})); "
+
+
+# Every rowfetch module that cli imports only inside a command.
+LAYERS = tuple(sorted({m.name for m in pkgutil.iter_modules(rowfetch.__path__)}
+                      - {"cli", "core_model"}))
+
+
 # A child process started with this prelude prints, as it exits, its
 # OPENBLAS_NUM_THREADS setting and its thread count (-1 if it cannot count).
 REPORT_THREADS = ("import atexit, os, sys; atexit.register(lambda: print("
@@ -91,6 +102,28 @@ def run_python(code: str, *args: str, environ=None) -> subprocess.CompletedProce
 def run_cli(*args: str, prelude: str = "", environ=None) -> subprocess.CompletedProcess:
     """`rowfetch ARGS...` in a child process that first runs prelude."""
     return run_python(prelude + "from rowfetch.cli import run; run()", *args, environ=environ)
+
+
+def outputs_match_with_prelude(tmp_path, argv, prelude: str) -> bool:
+    """Whether `rowfetch ARGV...` prints and writes the same after prelude as without it.
+
+    Both runs must exit 0 with nothing on stderr.  A sweep's TSV is
+    tmp_path/s.tsv, as command_args writes it.
+    """
+    outputs = []
+    for before in (prelude, ""):
+        done = run_cli(*argv, prelude=before)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        sweep = tmp_path / "s.tsv"
+        outputs.append((done.stdout, sweep.read_bytes() if sweep.exists() else None))
+    return outputs[0] == outputs[1]
+
+
+def write_readme_samples(tmp_path) -> Path:
+    samples = tmp_path / "samples.csv"
+    samples.write_text("# N=502\nf,elapsed_ms\n"
+                       + "".join(f"{f},{ms!r}\n" for f, ms in README_SAMPLES))
+    return samples
 
 
 def simulate(tmp_path, config, stem="trace", extra=()):
@@ -520,18 +553,9 @@ class TestNumpyFreeCommands:
     @pytest.mark.parametrize("command", ["recommend", "recommend_capped", "fit", "sweep_sim",
                                          "sweep_quantized", "sweep_reciprocal"])
     def test_runs_and_prints_the_same_with_numpy_blocked(self, tmp_path, command):
-        samples = tmp_path / "samples.csv"
-        samples.write_text("# N=502\nf,elapsed_ms\n"
-                           + "".join(f"{f},{ms!r}\n" for f, ms in README_SAMPLES))
-        argv = (["fit", str(samples)] if command == "fit"
+        argv = (["fit", str(write_readme_samples(tmp_path))] if command == "fit"
                 else command_args(tmp_path, command, "baseline.cfg"))
-        outputs = []
-        for prelude in (BLOCK_NUMPY, ""):
-            done = run_cli(*argv, prelude=prelude)
-            assert (done.returncode, done.stderr) == (EXIT_OK, "")
-            sweep = tmp_path / "s.tsv"
-            outputs.append((done.stdout, sweep.read_bytes() if sweep.exists() else None))
-        assert outputs[0] == outputs[1]
+        assert outputs_match_with_prelude(tmp_path, argv, BLOCK_NUMPY)
 
     def test_root_imports_with_numpy_blocked(self):
         done = run_python(BLOCK_NUMPY + "import rowfetch; from rowfetch import "
@@ -563,6 +587,46 @@ class TestNumpyFreeCommands:
                           "print(sorted({'fractions', 'decimal', 'rowfetch.model_fit'} "
                           "& set(sys.modules)), file=sys.stderr); sys.exit(rc)", *argv)
         assert (done.returncode, done.stderr) == (EXIT_OK, "[]\n")
+
+
+class TestCommandLayers:
+    """cli loads core_model alone; each command imports the layers it runs."""
+
+    def test_import_loads_only_core_model(self):
+        done = run_python("import sys, rowfetch.cli; print(sorted(m for m in sys.modules "
+                          "if m.partition('.')[0] in ('rowfetch', 'numpy')))")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "['rowfetch', 'rowfetch.cli', 'rowfetch.core_model']\n"
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("fit", ("fetch_sim", "config", "tuner")),
+        ("analyze", ("fetch_sim", "config", "tuner", "model_fit")),
+        ("sweep_sim", ("tuner",)),
+    ])
+    def test_runs_and_prints_the_same_with_unused_layers_blocked(self, tmp_path, command,
+                                                                 blocked):
+        if command == "fit":
+            argv = ["fit", str(write_readme_samples(tmp_path))]
+        elif command == "analyze":
+            trace = tmp_path / "t.csv"
+            assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
+            argv = ["analyze", str(trace)]
+        else:
+            argv = command_args(tmp_path, command, "baseline.cfg")
+        assert outputs_match_with_prelude(tmp_path, argv, block_layers(*blocked))
+
+    def test_zero_run_default_is_the_tuners(self):
+        args = cli.build_parser().parse_args(["recommend", "baseline.cfg",
+                                              "--budget-bytes", "1"])
+        assert args.zero_run == tuner.DEFAULT_ZERO_RUN
+
+    @pytest.mark.parametrize("command", ["", "simulate", "analyze", "sweep", "fit",
+                                         "recommend"])
+    def test_help_loads_no_layer(self, command):
+        assert {"config", "fetch_sim", "tuner"} <= set(LAYERS)
+        done = run_cli(*command.split(), "--help", prelude=BLOCK_NUMPY + block_layers(*LAYERS))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.startswith(f"usage: rowfetch {command}".rstrip())
 
 
 def numpy_uses_openblas() -> bool:
@@ -856,6 +920,27 @@ class TestConfigErrors:
                          "tiny_result.cfg"]
         for name in names:
             load_config(name)
+
+
+class TestOutOfMemory:
+    """An input too large for memory is one error line and exit 3, not a traceback."""
+
+    @pytest.mark.parametrize("module, name, command", [
+        (fetch_sim, "simulate_fetch", "simulate"),
+        (trace_analysis, "read_trace_samples", "analyze"),
+    ], ids=["simulate", "analyze"])
+    def test_memory_error_is_exit_input(self, tmp_path, capsys, monkeypatch, module, name,
+                                        command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, exhausted)
+        argv = (["analyze", str(tmp_path / "t.csv")] if command == "analyze"
+                else command_args(tmp_path, command, "baseline.cfg"))
+        assert cli.main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestUsage:
