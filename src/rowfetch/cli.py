@@ -36,11 +36,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core_model import FieldError, InputError, round_trips, sweep_curve
+from .core_model import FieldError, InputError, replace, round_trips, sweep_curve
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -101,8 +100,7 @@ def cmd_analyze(args) -> int:
     report = trace_analysis.analyze_trace(trace_analysis.read_trace_samples(args.trace),
                                           median_ratio=args.median_ratio,
                                           sigma_k=args.sigma_k)
-    # vars() is the shallow form of dataclasses.asdict, which would
-    # deep-copy every peak row and gap one by one.
+    # vars() is the report's fields in order, its tuples shared, not copied.
     print(json.dumps(vars(report)))
     return EXIT_OK
 

@@ -16,13 +16,13 @@ number (applied to every hop) or a comma list with one entry per hop.
     run.jitter=0
 
 The key table `_KEYS` is the whole mapping: each key names one field of
-one spec dataclass (WorkloadSpec, HopSpec, ServerSpec, DriverSpec or
-RunConfig; network.hops is the hop count) and the parser for its text.
-An absent key takes its field's dataclass default, and a field with no
-default is a required key.  Each spec checks its own fields, and a value
-it rejects is reported under the key that set it.  A seed or jitter
-the caller passes (the --seed and --jitter flags) replaces run.seed or
-run.jitter, and jitter > 0 needs a seed from one of the two.
+one spec (WorkloadSpec, HopSpec, ServerSpec, DriverSpec or RunConfig;
+network.hops is the hop count) and the parser for its text.  An absent
+key takes its field's default, and a field with no default is a
+required key.  Each spec checks its own fields, and a value it rejects
+is reported under the key that set it.  A seed or jitter the caller
+passes (the --seed and --jitter flags) replaces run.seed or run.jitter,
+and jitter > 0 needs a seed from one of the two.
 
 Bundled scenario presets live next to this module and can be named on
 the command line anywhere a config path is accepted.
@@ -31,10 +31,9 @@ the command line anywhere a config path is accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .core_model import FieldError, InputError, WorkloadSpec, require
+from .core_model import FieldError, InputError, Record, WorkloadSpec, replace, require
 from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec, transport_time
 
 
@@ -43,8 +42,7 @@ class ConfigError(InputError):
         super().__init__(f"{key}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     workload: WorkloadSpec
     network: NetworkSpec
     server: ServerSpec
@@ -64,7 +62,7 @@ def _floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",")]
 
 
-# key -> (spec, dataclass field, text parser, what a parse error expected).
+# key -> (spec, spec field, text parser, what a parse error expected).
 _KEYS = {
     "workload.total_records": ("workload", "total_records", int, "an integer"),
     "workload.field_bytes": ("workload", "field_byte_sizes", _ints,
@@ -112,9 +110,9 @@ def _parse_fields(text: str) -> dict[str, dict]:
 
 def _build(cls, spec: str, **kwargs):
     """Construct cls, naming the config key of a missing or rejected field."""
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in kwargs:
-            raise ConfigError(_KEY_OF[(spec, f.name)], "required key missing")
+    for name in cls.__annotations__:
+        if name not in kwargs and name not in vars(cls):  # no default either
+            raise ConfigError(_KEY_OF[(spec, name)], "required key missing")
     try:
         return cls(**kwargs)
     except FieldError as exc:

@@ -13,13 +13,16 @@ the reciprocal approximation T(f) = k1 * N / f + C, a rectangular
 hyperbola in f above the floor.  Both forms, the discrete trip-count
 slope, and curve sweeps live here.  Nothing in this module simulates
 anything or touches I/O.
+
+Record, the base of every value type in the package, and replace, which
+copies one with fields changed, live here too, since every command loads
+this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 
 class InputError(ValueError):
@@ -27,7 +30,7 @@ class InputError(ValueError):
 
 
 class FieldError(ValueError):
-    """A spec field outside its domain; .field names the dataclass field."""
+    """A spec field outside its domain; .field names the spec's field."""
 
     def __init__(self, field: str, rule: str):
         self.field = field
@@ -57,8 +60,64 @@ def checked_total(ms: float) -> float:
     return ms
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class Record:
+    """The base of the package's immutable value types.
+
+    A subclass's own annotations, in order, are its fields, and a class
+    attribute of the same name is a field's default.  Each subclass gets
+    an __init__ that takes the fields in that order, sets them, and then
+    calls __post_init__ if the class defines one; it is generated once,
+    as collections.namedtuple generates its __new__, so building an
+    instance costs what a hand-written __init__ would.  vars(obj) holds
+    the fields in order.  Assigning or deleting an attribute raises
+    AttributeError, and instances compare and hash by their fields; a
+    subclass that sets __eq__ and __hash__ to object's compares by
+    identity instead.
+    """
+
+    def __init_subclass__(cls):
+        fields = list(cls.__annotations__)
+        params = ", ".join(f"{name}=_cls.{name}" if name in vars(cls) else name
+                           for name in fields)
+        body = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+_R = TypeVar("_R", bound=Record)
+
+
+def replace(record: _R, **changes) -> _R:
+    """A copy of record with the named fields changed, checked again by __post_init__.
+
+    An unknown field name is a TypeError, as for the constructor.
+    """
+    return type(record)(**{**vars(record), **changes})
+
+
+class WorkloadSpec(Record):
     """A query result set: how many records, and how wide each one is."""
 
     total_records: int
@@ -81,8 +140,7 @@ class WorkloadSpec:
         return sum(self.field_byte_sizes)
 
 
-@dataclass(frozen=True)
-class FetchPlan:
+class FetchPlan(Record):
     """A prefetch size applied to a result set of known cardinality."""
 
     prefetch_size: int
@@ -95,8 +153,7 @@ class FetchPlan:
         require(self.total_records >= 0, "total_records", "must be >= 0")
 
 
-@dataclass(frozen=True)
-class CostConstants:
+class CostConstants(Record):
     """The four fitted constants of the transport model and its floor, in ms."""
 
     k1: float
@@ -110,14 +167,12 @@ class CostConstants:
             require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Record):
     prefetch_size: int
     elapsed: float
 
 
-@dataclass(frozen=True)
-class SlopeRow:
+class SlopeRow(Record):
     """One row of a trip-decrease table: what raising f by one buys."""
 
     prefetch_size: int

@@ -36,18 +36,16 @@ so specs, configs, cost_constants and jitter_free_total load without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .core_model import (TRACE_HEADER, CostConstants, WorkloadSpec, checked_total, finite_nonneg,
-                         require, round_trips)
+from .core_model import (TRACE_HEADER, CostConstants, Record, WorkloadSpec, checked_total,
+                         finite_nonneg, require, round_trips)
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class HopSpec:
+class HopSpec(Record):
     """One network segment: bandwidth in bytes/ms, latency per crossing."""
 
     bandwidth: float
@@ -64,8 +62,7 @@ class HopSpec:
                 "times availability must give a finite per-byte time")
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Record):
     """An ordered chain of hops; an empty chain is a co-located client."""
 
     hops: tuple[HopSpec, ...]
@@ -79,8 +76,7 @@ class NetworkSpec:
         return cls(tuple(HopSpec(bandwidth, base_latency, availability) for _ in range(count)))
 
 
-@dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(Record):
     """Engine-side costs: parsing, per-record search, disk cache refills."""
 
     hard_parse: float = 0.0
@@ -95,8 +91,7 @@ class ServerSpec:
         require(self.server_cache_size >= 1, "server_cache_size", "must be >= 1")
 
 
-@dataclass(frozen=True)
-class DriverSpec:
+class DriverSpec(Record):
     """Client-driver knobs.
 
     The size in force is the enforced override when present, else the
@@ -116,8 +111,7 @@ class DriverSpec:
             require(finite_nonneg(getattr(self, name)), name, "must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class TripRecord:
+class TripRecord(Record):
     """Component times for one round trip, all in ms."""
 
     trip_index: int
@@ -140,8 +134,7 @@ class TripRecord:
 _BLOCK = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
-class LatencyTrace:
+class LatencyTrace(Record):
     """A simulated fetch, stored as the trip columns its per-row times come from.
 
     records is the int64 column of batch sizes and components the float64
@@ -161,6 +154,10 @@ class LatencyTrace:
     total_records: int
     totals: np.ndarray
     total_elapsed_ms: float
+
+    # Compared and hashed by identity: its arrays have no one truth value.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def _first_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # Each batch's first row, from 1, and the time it shows: its trip's

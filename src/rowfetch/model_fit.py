@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .core_model import CostConstants, InputError, finite_nonneg, require
+from .core_model import CostConstants, InputError, Record, finite_nonneg, require
 
 BASIS_NAMES = ("full_trips", "prefetch_size", "residual_trip", "residual_records")
 CONDITION_WARN_AT = 1e8
@@ -50,8 +49,7 @@ class FitError(ValueError):
     """Sample sets the model cannot be fitted to."""
 
 
-@dataclass(frozen=True)
-class FitSample:
+class FitSample(Record):
     """One measured point: total elapsed at a prefetch size, given N."""
 
     prefetch_size: int
@@ -65,8 +63,7 @@ class FitSample:
         require(finite_nonneg(self.total_elapsed), "total_elapsed", "must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """What `rowfetch fit` prints, in order; k3/k4 are None when every sample divides N."""
 
     k1: float
@@ -143,8 +140,9 @@ def _log_largest_eigenvalue(matrix) -> float:
 
     trace(A**p)**(1/p) falls to the largest eigenvalue as p grows, within
     a factor w**(1/p) for w columns.  A is scaled to unit trace exactly,
-    then squared 64 times in float64, back to unit trace after each
-    squaring, with the logs of the traces summed at weight 1/p.
+    then squared up to 64 times in float64, back to unit trace after
+    each squaring, with the logs of the traces summed at weight 1/p.  It
+    stops at the first squaring whose trace is exactly 1.
     """
     trace = sum(Fraction(matrix[i][i]) for i in range(len(matrix)))
     log = math.log(trace.numerator) - math.log(trace.denominator)
@@ -152,6 +150,11 @@ def _log_largest_eigenvalue(matrix) -> float:
     for k in range(1, 65):
         a = [[sum(map(mul, row, col)) for col in zip(*a)] for row in a]
         t = sum(a[i][i] for i in range(len(a)))
+        if t == 1.0:
+            # The powers have converged on the top eigenvector: every later
+            # trace is 1 to within a few eps, so the terms left sum to a
+            # few eps / 2**k.
+            break
         log += math.log(t) / 2**k
         a = [[v / t for v in row] for row in a]
     return log

@@ -45,12 +45,11 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import TRACE_HEADER, InputError, finite_nonneg, require
+from .core_model import TRACE_HEADER, InputError, Record, finite_nonneg, replace, require
 
 Samples = np.ndarray | Sequence[tuple[int, float]]
 
@@ -59,8 +58,7 @@ class TraceFormatError(InputError):
     """A trace CSV that does not follow the row_index,elapsed_ms format."""
 
 
-@dataclass(frozen=True)
-class PeakReport:
+class PeakReport(Record):
     """What a latency trace reveals about the driver's batching."""
 
     peak_rows: tuple[int, ...]

@@ -13,11 +13,11 @@ in which case the trip count is recomputed honestly for the capped size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core_model import (
     CostConstants,
     FetchPlan,
+    Record,
     quantized_cost,
     require,
     round_trips,
@@ -27,8 +27,7 @@ from .core_model import (
 DEFAULT_ZERO_RUN = 50
 
 
-@dataclass(frozen=True)
-class MemoryBudget:
+class MemoryBudget(Record):
     """Client-side cache ceiling: total bytes and the per-record cost."""
 
     max_bytes: int
@@ -41,8 +40,7 @@ class MemoryBudget:
             raise ValueError("budget must afford at least one record")
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(Record):
     """A tuned prefetch size and the reasoning that produced it.
 
     threshold_f is the trip-minimal size (the smallest with its trip

@@ -66,6 +66,9 @@ README_SAMPLES = ((5, 46136.4), (10, 23236.4), (25, 9496.4), (60, 4304.4),
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 # Likewise for numpy.ma, which np.median imports.
 BLOCK_NUMPY_MA = "import sys; sys.modules['numpy.ma'] = None; "
+# Likewise for dataclasses, and for inspect, which dataclasses imports.
+BLOCK_DATACLASSES = "import sys; sys.modules['dataclasses'] = None; "
+BLOCK_INSPECT = "import sys; sys.modules['inspect'] = None; "
 
 
 def block_layers(*layers: str) -> str:
@@ -107,15 +110,16 @@ def run_cli(*args: str, prelude: str = "", environ=None) -> subprocess.Completed
 def outputs_match_with_prelude(tmp_path, argv, prelude: str) -> bool:
     """Whether `rowfetch ARGV...` prints and writes the same after prelude as without it.
 
-    Both runs must exit 0 with nothing on stderr.  A sweep's TSV is
-    tmp_path/s.tsv, as command_args writes it.
+    Both runs must exit 0 with nothing on stderr.  What a run writes is
+    every file in tmp_path after it, where command_args puts a command's
+    outputs.
     """
     outputs = []
     for before in (prelude, ""):
         done = run_cli(*argv, prelude=before)
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
-        sweep = tmp_path / "s.tsv"
-        outputs.append((done.stdout, sweep.read_bytes() if sweep.exists() else None))
+        outputs.append((done.stdout, {path.name: path.read_bytes()
+                                      for path in tmp_path.iterdir()}))
     return outputs[0] == outputs[1]
 
 
@@ -146,6 +150,18 @@ def command_args(tmp_path, command: str, cfg: str) -> list[str]:
         return ["recommend", cfg, "--budget-bytes", "100000"]
     mode = command.partition("_")[2] or "sim"
     return ["sweep", cfg, "--f-range", "1:5", "--mode", mode, "--out", str(tmp_path / "s.tsv")]
+
+
+def baseline_args(tmp_path, command: str) -> list[str]:
+    """command_args on baseline.cfg, plus fit on the README's samples and
+    analyze on baseline.cfg's trace, both written to tmp_path first."""
+    if command == "fit":
+        return ["fit", str(write_readme_samples(tmp_path))]
+    if command == "analyze":
+        trace = tmp_path / "in.csv"
+        assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
+        return ["analyze", str(trace)]
+    return command_args(tmp_path, command, "baseline.cfg")
 
 
 class TestSimulate:
@@ -553,9 +569,8 @@ class TestNumpyFreeCommands:
     @pytest.mark.parametrize("command", ["recommend", "recommend_capped", "fit", "sweep_sim",
                                          "sweep_quantized", "sweep_reciprocal"])
     def test_runs_and_prints_the_same_with_numpy_blocked(self, tmp_path, command):
-        argv = (["fit", str(write_readme_samples(tmp_path))] if command == "fit"
-                else command_args(tmp_path, command, "baseline.cfg"))
-        assert outputs_match_with_prelude(tmp_path, argv, BLOCK_NUMPY)
+        assert outputs_match_with_prelude(tmp_path, baseline_args(tmp_path, command),
+                                          BLOCK_NUMPY)
 
     def test_root_imports_with_numpy_blocked(self):
         done = run_python(BLOCK_NUMPY + "import rowfetch; from rowfetch import "
@@ -605,15 +620,8 @@ class TestCommandLayers:
     ])
     def test_runs_and_prints_the_same_with_unused_layers_blocked(self, tmp_path, command,
                                                                  blocked):
-        if command == "fit":
-            argv = ["fit", str(write_readme_samples(tmp_path))]
-        elif command == "analyze":
-            trace = tmp_path / "t.csv"
-            assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
-            argv = ["analyze", str(trace)]
-        else:
-            argv = command_args(tmp_path, command, "baseline.cfg")
-        assert outputs_match_with_prelude(tmp_path, argv, block_layers(*blocked))
+        assert outputs_match_with_prelude(tmp_path, baseline_args(tmp_path, command),
+                                          block_layers(*blocked))
 
     def test_zero_run_default_is_the_tuners(self):
         args = cli.build_parser().parse_args(["recommend", "baseline.cfg",
@@ -627,6 +635,27 @@ class TestCommandLayers:
         done = run_cli(*command.split(), "--help", prelude=BLOCK_NUMPY + block_layers(*LAYERS))
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
         assert done.stdout.startswith(f"usage: rowfetch {command}".rstrip())
+
+
+class TestNoDataclasses:
+    """No command imports dataclasses: the value types are core_model.Records.
+
+    With inspect, which it imports, dataclasses cost every process about
+    7 ms of start-up.  numpy imports inspect itself, so it stays
+    importable for the commands that build arrays.
+    """
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep_sim", "sweep_quantized",
+                                         "sweep_reciprocal", "fit", "recommend"])
+    def test_runs_and_writes_the_same_with_dataclasses_blocked(self, tmp_path, command):
+        prelude = BLOCK_DATACLASSES + ("" if command in ("simulate", "analyze")
+                                       else BLOCK_INSPECT)
+        assert outputs_match_with_prelude(tmp_path, baseline_args(tmp_path, command), prelude)
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        done = run_python("import sys, rowfetch.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 def numpy_uses_openblas() -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -10,17 +9,25 @@ import pytest
 from rowfetch.config import RunConfig
 from rowfetch.core_model import (
     CostConstants,
+    CurvePoint,
     FetchPlan,
     FieldError,
+    Record,
+    SlopeRow,
     WorkloadSpec,
     quantized_cost,
     reciprocal_cost,
+    replace,
     round_trips,
     slope_table,
     sweep_curve,
     trip_decrease_per_unit_f,
 )
-from rowfetch.fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec
+from rowfetch.fetch_sim import (DriverSpec, HopSpec, LatencyTrace, NetworkSpec, ServerSpec,
+                                simulate_fetch)
+from rowfetch.model_fit import FitResult, FitSample
+from rowfetch.trace_analysis import PeakReport
+from rowfetch.tuner import MemoryBudget, Recommendation
 
 
 def consume_in_batches(n: int, f: int) -> int:
@@ -262,10 +269,97 @@ class TestTypes:
         RunConfig(WorkloadSpec(5, (8,)), NetworkSpec(()), ServerSpec(), DriverSpec()),
     ], ids=lambda spec: type(spec).__name__)
     def test_every_float_field_rejects_nan_and_inf(self, spec):
-        names = [f.name for f in dataclasses.fields(spec) if f.type == "float"]
+        names = [name for name, kind in type(spec).__annotations__.items() if kind == "float"]
         assert names
         for name in names:
             for bad in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(FieldError) as exc:
-                    dataclasses.replace(spec, **{name: bad})
+                    replace(spec, **{name: bad})
                 assert exc.value.field == name
+
+
+def record_examples() -> list[Record]:
+    """One instance of every value type in the package."""
+    workload = WorkloadSpec(5, [8, 4])
+    trace = simulate_fetch(workload, NetworkSpec.uniform(1, 600.0, 150.0), ServerSpec(),
+                           DriverSpec(enforced_prefetch=2))
+    return [
+        workload, FetchPlan(2, 5), CostConstants(1.0, 0.0, 2.0, 3.0), CurvePoint(2, 3.5),
+        SlopeRow(2, 3, 2, 1, 150.0), HopSpec(600.0, 150.0), NetworkSpec([HopSpec(600.0, 1.0)]),
+        ServerSpec(hard_parse=40.0), DriverSpec(), trace.trip_log[1], trace,
+        RunConfig(workload, NetworkSpec(()), ServerSpec(), DriverSpec(), seed=7),
+        FitSample(2, 450.0, 5), FitResult(305.0, 0.0, None, None, 0.0, 4, False),
+        PeakReport((3, 5), 2, (2,), 305.0, 1.0), MemoryBudget(100, 12),
+        Recommendation(3, 2, 3, 915.0, 24, False, ("capped",)),
+    ]
+
+
+class TestRecord:
+    def test_examples_cover_every_value_type(self):
+        assert {type(r) for r in record_examples()} == set(Record.__subclasses__())
+
+    @pytest.mark.parametrize("record", record_examples(), ids=lambda r: type(r).__name__)
+    def test_fields_are_the_annotations_in_order(self, record):
+        cls = type(record)
+        names = list(cls.__annotations__)
+        assert list(vars(record)) == names
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={getattr(record, name)!r}" for name in names) + ")"
+        assert vars(cls(*vars(record).values())).keys() == vars(record).keys()
+
+    @pytest.mark.parametrize("record", record_examples(), ids=lambda r: type(r).__name__)
+    def test_assignment_and_deletion_raise(self, record):
+        for name in [*vars(record), "not_a_field"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert "not_a_field" not in vars(record)
+
+    @pytest.mark.parametrize("record", record_examples(), ids=lambda r: type(r).__name__)
+    def test_equality_and_hash_are_by_field(self, record):
+        cls = type(record)
+        twin = cls(**vars(record))
+        assert twin is not record
+        if cls is LatencyTrace:  # by identity: its fields are arrays
+            assert twin != record and record == record
+            assert hash(record) == object.__hash__(record)
+            return
+        assert twin == record and hash(twin) == hash(record)
+        assert record != tuple(vars(record).values())
+        for name in vars(record):
+            other = cls(**vars(record))
+            object.__setattr__(other, name, object())  # unchecked, on purpose
+            assert other != record
+
+    @pytest.mark.parametrize("record", record_examples(), ids=lambda r: type(r).__name__)
+    def test_defaults_apply(self, record):
+        cls = type(record)
+        defaults = {name: vars(cls)[name] for name in cls.__annotations__ if name in vars(cls)}
+        made = cls(**{k: v for k, v in vars(record).items() if k not in defaults})
+        assert {name: getattr(made, name) for name in defaults} == defaults
+
+    @pytest.mark.parametrize("record", record_examples(), ids=lambda r: type(r).__name__)
+    def test_missing_or_unknown_argument_is_a_type_error(self, record):
+        cls = type(record)
+        with pytest.raises(TypeError):
+            cls(**vars(record), not_a_field=1)
+        with pytest.raises(TypeError):
+            cls(*vars(record).values(), 1)
+        required = [name for name in cls.__annotations__ if name not in vars(cls)]
+        for name in required:
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in vars(record).items() if k != name})
+        with pytest.raises(TypeError):
+            replace(record, not_a_field=1)
+
+    def test_replace_checks_the_copy_again(self):
+        driver = DriverSpec(enforced_prefetch=3)
+        assert replace(driver, default_prefetch=4) == DriverSpec(3, 4)
+        assert replace(driver) == driver and replace(driver) is not driver
+        with pytest.raises(FieldError) as exc:
+            replace(driver, default_prefetch=0)
+        assert exc.value.field == "default_prefetch"
+        assert driver.default_prefetch == 10
+        # __post_init__ runs on the copy, so a list still becomes a tuple.
+        assert replace(WorkloadSpec(5, (8,)), field_byte_sizes=[1, 2]).field_byte_sizes == (1, 2)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import random
 import tempfile
@@ -15,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rowfetch import fetch_sim
-from rowfetch.core_model import FetchPlan, FieldError, WorkloadSpec, quantized_cost, round_trips
+from rowfetch.core_model import (FetchPlan, FieldError, WorkloadSpec, quantized_cost, replace,
+                                 round_trips)
 from rowfetch.fetch_sim import (
     DriverSpec,
     HopSpec,
@@ -58,12 +58,12 @@ def reference_csv(trace, samples_path, trips_path):
     with open(trips_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms"))
-        writer.writerows(dataclasses.astuple(trip) for trip in trace.trip_log)
+        writer.writerows(vars(trip).values() for trip in trace.trip_log)
 
 
 def assert_matches_reference(tmp_path, n, f, jitter):
     """write_trace_csv gives reference_csv's bytes for WIDE at n records and size f."""
-    driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+    driver = replace(DRIVER, enforced_prefetch=f)
     trace = simulate_fetch(WorkloadSpec(n, WIDE.field_byte_sizes), WAN, SERVER, driver,
                            seed=11, jitter=jitter)
     write_trace_csv(trace, tmp_path / "t.csv", tmp_path / "t_trips.csv")
@@ -162,12 +162,11 @@ class TestSimulateFetch:
     def test_matches_component_derived_constants(self, cache):
         # With the hard parse and any server cache size, a * ceil(N/f) + C
         # reproduces the simulated total at every f.
-        server = dataclasses.replace(SERVER, server_cache_size=cache)
+        server = replace(SERVER, server_cache_size=cache)
         k = cost_constants(WIDE, WAN, server, DRIVER)
         assert (k.k1, k.k2, k.k3, k.k4) == (305.0, 0.0, 305.0, 0.0)
         for f in (1, 3, 10, 100, 168, 251, 502, 600):
-            trace = simulate_fetch(WIDE, WAN, server, dataclasses.replace(DRIVER,
-                                                                          enforced_prefetch=f))
+            trace = simulate_fetch(WIDE, WAN, server, replace(DRIVER, enforced_prefetch=f))
             predicted = quantized_cost(FetchPlan(f, 502), k)
             assert predicted == pytest.approx(trace.total_elapsed_ms, rel=1e-12)
 
@@ -175,7 +174,7 @@ class TestSimulateFetch:
                                               ("per_field_conversion", 1e306)])
     def test_cost_constants_overflow_is_the_total_error(self, field, value):
         # a or C past float64 is checked_total's error, not a FieldError naming floor.
-        driver = dataclasses.replace(DRIVER, **{field: value})
+        driver = replace(DRIVER, **{field: value})
         net = NetworkSpec.uniform(1, 600.0, 1e308)  # one finite hop; a needs both terms
         with pytest.raises(ValueError, match="elapsed time overflows float64") as exc:
             cost_constants(WIDE, net, SERVER, driver)
@@ -217,7 +216,7 @@ class TestJitterFreeTotal:
     ])
     def test_is_the_simulated_total(self, n, f):
         workload = WorkloadSpec(n, WIDE.field_byte_sizes)
-        driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+        driver = replace(DRIVER, enforced_prefetch=f)
         simulated = simulate_fetch(workload, WAN, SERVER, driver).total_elapsed_ms
         assert repr(jitter_free_total(workload, WAN, SERVER, driver)) == repr(simulated)
 
@@ -225,7 +224,7 @@ class TestJitterFreeTotal:
     def test_prices_2_to_53_records_in_constant_work(self, f):
         # Never simulated: 2**53 trips of arrays would not fit in memory.
         workload = WorkloadSpec(2**53, WIDE.field_byte_sizes)
-        driver = dataclasses.replace(DRIVER, enforced_prefetch=f)
+        driver = replace(DRIVER, enforced_prefetch=f)
         k = cost_constants(workload, WAN, SERVER, driver)
         assert jitter_free_total(workload, WAN, SERVER, driver) == pytest.approx(
             quantized_cost(FetchPlan(f, 2**53), k), rel=1e-12)

@@ -15,7 +15,6 @@ import tracemalloc
 import warnings
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rowfetch import cli, trace_analysis
-from rowfetch.core_model import FieldError, WorkloadSpec, round_trips
+from rowfetch.core_model import FieldError, WorkloadSpec, replace, round_trips
 from rowfetch.fetch_sim import (
     DriverSpec,
     NetworkSpec,

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
-from rowfetch.core_model import CostConstants, round_trips, trip_decrease_per_unit_f
+from rowfetch.core_model import CostConstants, replace, round_trips, trip_decrease_per_unit_f
 from rowfetch.tuner import (
     DEFAULT_ZERO_RUN,
     MemoryBudget,
