@@ -14,9 +14,9 @@ hyperbola in f above the floor.  Both forms, the discrete trip-count
 slope, and curve sweeps live here.  Nothing in this module simulates
 anything or touches I/O.
 
-Record, the base of every value type in the package, and replace, which
-copies one with fields changed, live here too, since every command loads
-this module.
+Record, the base of every value type in the package, replace, which
+copies one with fields changed, and the number grammar of both input
+readers live here too, since every command loads this module.
 """
 
 from __future__ import annotations
@@ -58,6 +58,27 @@ def checked_total(ms: float) -> float:
     if not math.isfinite(ms):
         raise ValueError("elapsed time overflows float64; the configured costs are too large")
     return ms
+
+
+def _row_number(field: str) -> int:
+    # Both input readers' integer field, as np.loadtxt parses an int64:
+    # one optional sign and ASCII digits, stripped of what str.strip strips.
+    field = field.strip()
+    if not (field.isascii() and field.lstrip("+-").isdigit()):
+        raise ValueError(f"not a decimal integer: {field!r}")
+    value = int(field)  # a second sign is a ValueError
+    if not -2**63 <= value < 2**63:
+        raise ValueError("integer outside the int64 range")
+    return value
+
+
+def _number(field: str) -> float:
+    # Both input readers' float field, as np.loadtxt parses a float64:
+    # what float() parses, less underscores and non-ASCII digits.
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"not an ASCII number without underscores: {field!r}")
+    return float(field)
 
 
 class Record:

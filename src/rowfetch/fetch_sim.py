@@ -226,9 +226,9 @@ def _price_trips(out, records, refills, first: bool, workload: WorkloadSpec,
     out a list, or int64 columns, with out the (5, trips) transposed view
     of their rows of the block.  Each component is stored as soon as it
     is computed: holding the five trip-long temporaries at once made
-    simulate_fetch's block fill 2.6x slower at 1e5 trips.  simulate_fetch
-    and jitter_free_total both price trips here, so both round every
-    component alike.
+    simulate_fetch's block fill 2.6x slower at 1e5 trips.  simulate_fetch,
+    jitter_free_total and cost_constants all price trips here, so all
+    round every component alike.
     """
     out[0] = driver.request_overhead
     out[1] = server.soft_parse + server.per_record_search * records
@@ -237,6 +237,19 @@ def _price_trips(out, records, refills, first: bool, workload: WorkloadSpec,
     out[2] = refills * server.disk_access_per_refill
     out[3] = transport_time(records * float(workload.record_bytes), net)
     out[4] = records * float(len(workload.field_byte_sizes)) * driver.per_field_conversion
+
+
+def _trip_total(records: int, refills: int, first: bool, *specs) -> float:
+    """One jitter-free trip's total ms, summed in TripRecord.total_ms's order."""
+    trip = [0.0] * 5
+    _price_trips(trip, records, refills, first, *specs)
+    r, e, a, t, c = trip
+    return checked_total(r + e + a + t + c)
+
+
+def _refills(served, cache: int):
+    """ceil(served / cache), the disk refills behind served records; an int or int64 column."""
+    return -(-served // cache)
 
 
 def simulate_fetch(
@@ -269,7 +282,7 @@ def simulate_fetch(
     batch = min(f, n)
     cache = min(server.server_cache_size, max(n, 1))
     records = np.minimum(batch, n - batch * np.arange(trips))
-    refills = np.diff(-(-np.cumsum(records) // cache), prepend=0)  # per trip
+    refills = np.diff(_refills(np.cumsum(records), cache), prepend=0)  # per trip
     block = np.empty((trips, 5))
     for rows, first in ((slice(None, 1), True), (slice(1, None), False)):
         _price_trips(block[rows].T, records[rows], refills[rows], first, workload, net,
@@ -310,25 +323,16 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
         return 0.0
     batch = min(f, n)
     cache = min(server.server_cache_size, n)
-
-    def served_refills(served: int) -> int:
-        return -(-served // cache)
-
-    kinds = [(batch, served_refills(batch), True, 1)]  # (records, refills, first, count)
+    kinds = [(batch, _refills(batch, cache), True, 1)]  # (records, refills, first, count)
     if trips > 1:
         before_last = batch * (trips - 1)
         middle = trips - 2
         few = batch // cache  # a full trip triggers few or few + 1 refills
-        more = served_refills(before_last) - served_refills(batch) - few * middle
+        more = _refills(before_last, cache) - _refills(batch, cache) - few * middle
         kinds += [(batch, few, False, middle - more), (batch, few + 1, False, more),
-                  (n - before_last, served_refills(n) - served_refills(before_last), False, 1)]
-    exact = Fraction(0)
-    trip = [0.0] * 5
-    for records, refills, first, count in kinds:
-        if count:
-            _price_trips(trip, records, refills, first, workload, net, server, driver)
-            r, e, a, t, c = trip
-            exact += Fraction(checked_total(r + e + a + t + c)) * count
+                  (n - before_last, _refills(n, cache) - _refills(before_last, cache), False, 1)]
+    exact = sum(Fraction(_trip_total(records, refills, first, workload, net, server, driver))
+                * count for records, refills, first, count in kinds if count)
     try:
         return float(exact)
     except OverflowError:  # finite trips whose sum leaves float64
@@ -349,32 +353,24 @@ def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:
     return execution, trace.total_elapsed_ms - execution
 
 
-def cost_constants(
-    workload: WorkloadSpec,
-    net: NetworkSpec,
-    server: ServerSpec,
-    driver: DriverSpec,
-) -> CostConstants:
+def cost_constants(workload: WorkloadSpec, net: NetworkSpec, server: ServerSpec,
+                   driver: DriverSpec) -> CostConstants:
     """The simulator's exact law a * ceil(N/f) + C, as model constants.
 
-    a is what every trip pays whatever its size: request overhead, soft
-    parse and each hop's latency.  C is paid once: q * N for the per-record
-    costs q (search, bytes over each hop's effective bandwidth, field
-    conversion), the hard parse and ceil(N / server_cache_size) disk
-    refills; it is 0 when N = 0.  With k1 = k3 = a, k2 = k4 = 0 and floor C,
-    quantized_cost equals a jitter-free simulate_fetch total to rounding,
-    and at jitter > 0 it is that total's mean.
+    Both constants are trips priced by _price_trips, so the law and the
+    simulator share one cost formula.  a, what every trip pays whatever
+    its size, is a later trip that moves no record and triggers no
+    refill.  C, what the whole fetch pays once, is one first trip that
+    moves all N records and triggers their ceil(N / server_cache_size)
+    refills, less a; it is 0 when N = 0.  With k1 = k3 = a, k2 = k4 = 0
+    and floor C, quantized_cost is a jitter-free simulate_fetch total to
+    within a few ulps, often bit for bit, and at jitter > 0 its mean.
     """
     n = workload.total_records
-    a = checked_total(driver.request_overhead + server.soft_parse
-                      + sum(h.base_latency for h in net.hops))
-    per_record = (server.per_record_search
-                  + workload.record_bytes * sum(1.0 / (h.bandwidth * h.availability)
-                                                for h in net.hops)
-                  + len(workload.field_byte_sizes) * driver.per_field_conversion)
-    floor = (per_record * n + server.hard_parse
-             + -(-n // server.server_cache_size) * server.disk_access_per_refill) if n else 0.0
-    return CostConstants(a, 0.0, a, 0.0, checked_total(floor))
+    specs = (workload, net, server, driver)
+    a = _trip_total(0, 0, False, *specs)
+    whole = _trip_total(n, _refills(n, server.server_cache_size), True, *specs) if n else a
+    return CostConstants(a, 0.0, a, 0.0, whole - a)
 
 
 TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")

@@ -35,7 +35,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .core_model import CostConstants, InputError, Record, finite_nonneg, require
+from .core_model import (CostConstants, InputError, Record, _number, _row_number, finite_nonneg,
+                         require)
 
 BASIS_NAMES = ("full_trips", "prefetch_size", "residual_trip", "residual_records")
 CONDITION_WARN_AT = 1e8
@@ -254,7 +255,8 @@ _N_COMMENT = re.compile(r"#\s*N\s*=\s*(\d+)\s*$")
 def read_fit_samples(path) -> list[FitSample]:
     """Load an f,elapsed_ms CSV whose `# N=<count>` comment names the set size.
 
-    The comment may repeat, but only with the same count.
+    The comment may repeat, but only with the same count.  Its count and
+    each row's f and elapsed_ms are parsed as the trace reader's fields.
     """
     total_records = None
     rows: list[tuple[int, str]] = []
@@ -268,7 +270,7 @@ def read_fit_samples(path) -> list[FitSample]:
                 match = _N_COMMENT.match(line)
                 if match:
                     try:
-                        count = int(match.group(1))
+                        count = _row_number(match.group(1))  # ASCII digits only
                         require(count <= 2**53, "N", "must be in [0, 2**53]")
                         require(total_records in (None, count), "N",
                                 f"must repeat the earlier N={total_records}")
@@ -291,7 +293,7 @@ def read_fit_samples(path) -> list[FitSample]:
     for lineno, line in rows:
         parts = line.split(",")
         try:
-            samples.append(FitSample(int(parts[0]), float(parts[1]), total_records))
+            samples.append(FitSample(_row_number(parts[0]), _number(parts[1]), total_records))
         except (IndexError, ValueError) as exc:
             raise SampleFormatError(f"{path}:{lineno}: bad sample row: {line!r} ({exc})") from exc
     return samples

@@ -49,7 +49,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import TRACE_HEADER, InputError, Record, finite_nonneg, replace, require
+from .core_model import (TRACE_HEADER, InputError, Record, _number, _row_number,
+                         finite_nonneg, replace, require)
 
 Samples = np.ndarray | Sequence[tuple[int, float]]
 
@@ -322,24 +323,3 @@ def _first_bad_line(path) -> str:
                 return f"{path}:{lineno}: elapsed_ms {fields[1].strip()} is not finite"
             expected += 1
     return f"{path}: unreadable sample rows"
-
-
-def _row_number(field: str) -> int:
-    # np.loadtxt parses an int64 as one optional sign and ASCII digits,
-    # stripped of the whitespace str.strip strips.
-    field = field.strip()
-    if not (field.isascii() and field.lstrip("+-").isdigit()):
-        raise ValueError(field)
-    row = int(field)  # a second sign is a ValueError
-    if not -2**63 <= row < 2**63:
-        raise ValueError(field)
-    return row
-
-
-def _number(field: str) -> float:
-    # np.loadtxt parses what float() does, except underscores and
-    # non-ASCII digits, and strips all the whitespace str.strip does.
-    field = field.strip()
-    if not field.isascii() or "_" in field:
-        raise ValueError(field)
-    return float(field)

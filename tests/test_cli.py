@@ -528,7 +528,12 @@ class TestFit:
         path.write_text("# N=502\nprefetch,ms\n10,100.0\n")
         assert cli.main(["fit", str(path)]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("row", [b"10,-5.0", b"10,nan", b"0,100.0", b"10,\xff"])
+    @pytest.mark.parametrize("row", [b"10,-5.0", b"10,nan", b"0,100.0", b"10,\xff",
+                                     # The trace reader's field grammar: no
+                                     # underscores, ASCII digits only.
+                                     b"1,5_0", b"1_0,50.0", "\u0661,50.0".encode(),
+                                     "10,\u0661\u0665.0".encode(),
+                                     "# N=\u0665\u0660\u0662".encode()])  # N=502, Arabic-Indic
     def test_bad_sample_value_exit_input_naming_line(self, tmp_path, capsys, row):
         path = tmp_path / "samples.csv"
         path.write_bytes(b"# N=502\nf,elapsed_ms\n5,100.0\n" + row + b"\n")
@@ -730,6 +735,17 @@ class TestRecommend:
         assert rec["memory_at_optimal"] == 168 * 4074
         for label in ("bottleneck", "change", "tradeoff", "estimated benefit"):
             assert label in blocks[1]
+
+    @pytest.mark.parametrize("preset", ["baseline", "far_path", "near_path", "tiny_result"])
+    def test_predicted_elapsed_is_the_simulated_total(self, preset, tmp_path, capsys):
+        # The law's constants are priced as the simulator's trips, so the
+        # prediction is sim-mode sweep's total at the same size, bit for bit.
+        assert cli.main(["recommend", f"{preset}.cfg", "--budget-bytes", "1000000"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out.split("\n\n", 1)[0])
+        f, out = rec["optimal_f"], tmp_path / "sim.tsv"
+        assert cli.main(["sweep", f"{preset}.cfg", "--mode", "sim", "--f-range", f"{f}:{f}",
+                         "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[1].split("\t")[1] == repr(rec["predicted_elapsed"])
 
     def test_budget_cap(self, capsys):
         rc = cli.main(["recommend", "baseline.cfg", "--budget-bytes", "400000"])
@@ -1061,9 +1077,9 @@ GOLDEN_DIGESTS = {
         "trace_trips.csv": "e220abc1a76812b6a66cb41be45d5db9afd82ee75f716b99cfc5837ca3ecb59f",
         "analyze": "0037ac5c883faa98416749322f4e4b2e206f50e17275ff621b8e965e42813761",
         "sim.tsv": "e3270ab202ed85c6faa5bcdd5919ca022457c93bb33760cf27d0bb23289882a1",
-        "quantized.tsv": "8f1d0a1b467a609dbd9c40d2ea110e863f2cfd463d6474c6c3179e05a53eace4",
-        "reciprocal.tsv": "d80cda86245e72c0769d51c830227501a9a9df21604671d68d2c5355f464cd83",
-        "recommend": "88c2219a2a6176361ce0a6aa1562ef7c62c9771fd1975b42ac7bb349a2d31e69",
+        "quantized.tsv": "5fddff2bc129f2b7b1f3f80809f1b17e0362c0aba58cd47f6414a0e358dc245a",
+        "reciprocal.tsv": "6b60d1befd0ee3bb56362ee8b902ad71ab03759f848a9e651c7a86b8717fc42f",
+        "recommend": "e1487aaf88288e84d56f72f81962162150c31eb1c4fbf84eff9f64785d16704d",
     },
     "near_path": {
         "simulate": "a6a99d24f739f0e22265ead896937912704fbf55765e0db2a15736290d1f9c3e",
@@ -1071,9 +1087,9 @@ GOLDEN_DIGESTS = {
         "trace_trips.csv": "9a5b9dd161d5624d0f548cd300b4e4f009d5f9050765d89d9b65d6e6ed52fcdc",
         "analyze": "d8ace529136a79965de442d741970014c3c97f0ab5404a1918370d3be9b62c01",
         "sim.tsv": "64fdca51efd9e3f97a0c4b2d504aeac864e13ef241ed14e52ee3004f04bbb33a",
-        "quantized.tsv": "e30acb0d469186485d1243c30b5594588150135a9d517d1e7b5d6c4430070856",
-        "reciprocal.tsv": "c97e21c662e97674d8bfc16ea1a00f76054ef261bf4aa8728fc2bf53f03093eb",
-        "recommend": "a9fbb5388200b3be71544f08ceff3698b8f0f3e31aad9969f6e5f48e571b45a5",
+        "quantized.tsv": "567ae02ae073ee16d9b1d6817c2e920fca81eab499215e963f7922bab060428e",
+        "reciprocal.tsv": "bdc2d6310aeb2d24db3761a35dc2c69068761f1a80db9a3eb59aa61fcc907d86",
+        "recommend": "695386805925ef6b81e995fbc287cefa3c6b3fb56cedb5c651b851b8b9190549",
     },
     "far_path": {
         "simulate": "a1b8858d44716ca757a1196aabe2066dc82ebb9494465171211805a2360589cc",
@@ -1081,9 +1097,9 @@ GOLDEN_DIGESTS = {
         "trace_trips.csv": "a696ef7d33bc6a67788f3b2487561fda4c3073def60c3fea9e9590ab183110e8",
         "analyze": "beb1a355dd7fedc84ed31faddb314b8aa12580f86ba4f58a90034253016343e5",
         "sim.tsv": "0012999c2a53b78ac43c0de167cf318baca6598dbaa0f77bf0cbebc6d98a4ffa",
-        "quantized.tsv": "b5ab4d678c403760b25c20a9244da8986e0e67ba84917a3f07fc11162ef1bd7c",
-        "reciprocal.tsv": "21d17e984c7cfdb55e133738cb0ebd28ce0984cbc2841c6d45551f2679f242c5",
-        "recommend": "0722d240269fe64aa8f8fea9503c4a03b12e15ad45c30bdc0f5ace502881cbb0",
+        "quantized.tsv": "98f557f2fda8e8fb726b673e95235bc2e15be4a451bd7f1b426bce518f9695bf",
+        "reciprocal.tsv": "15eb33499057323c7e6be621a892dc7e87fb67c0675857a15ec16ee2999c05a6",
+        "recommend": "8db0e047423eae351c27de86997bb67114605e0607c4c6a07db190717e21203c",
     },
     "tiny_result": {
         "simulate": "a2ca4038318444e2bc75942dce682477b0d534a708ff4cb03107c3017bbfc279",

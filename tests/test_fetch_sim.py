@@ -170,6 +170,19 @@ class TestSimulateFetch:
             predicted = quantized_cost(FetchPlan(f, 502), k)
             assert predicted == pytest.approx(trace.total_elapsed_ms, rel=1e-12)
 
+    def test_constants_are_priced_by_the_trip_formula(self, monkeypatch):
+        # A second copy of the formula would not see a change to the first.
+        price = fetch_sim._price_trips
+        before = cost_constants(WIDE, WAN, SERVER, DRIVER)
+
+        def slower(out, *args):
+            price(out, *args)
+            out[0] += 1.0  # every trip's request time
+
+        monkeypatch.setattr(fetch_sim, "_price_trips", slower)
+        after = cost_constants(WIDE, WAN, SERVER, DRIVER)
+        assert (after.k1, after.k3) == (before.k1 + 1.0, before.k3 + 1.0) == (306.0, 306.0)
+
     @pytest.mark.parametrize("field, value", [("request_overhead", 1e308),
                                               ("per_field_conversion", 1e306)])
     def test_cost_constants_overflow_is_the_total_error(self, field, value):
@@ -476,6 +489,14 @@ class TestSimulatorProperties:
             simulated = simulate_fetch(w, net, server, driver).total_elapsed_ms
             assert predicted == pytest.approx(simulated, rel=1e-12, abs=0.0)
         assert predicted == simulated == 0.0
+
+    @given(scenarios())
+    def test_per_trip_constant_is_the_fixed_trip_costs(self, scenario):
+        # The reference formula: a is what a trip pays whatever it moves.
+        workload, net, server, driver = scenario
+        a = driver.request_overhead + server.soft_parse + sum(h.base_latency for h in net.hops)
+        k = cost_constants(workload, net, server, driver)
+        assert repr(k.k1) == repr(k.k3) == repr(a)
 
     @settings(deadline=None)
     @given(scenarios(prefetch=st.integers(1, 1100) | st.integers(1, 2**53),

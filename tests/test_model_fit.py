@@ -457,6 +457,8 @@ class TestSamplesCsv:
         assert first[1] == "f,elapsed_ms"
         path.write_text("\n".join(first[:3] + [""] + first[3:]))
         assert read_fit_samples(path) == samples  # a blank line between rows is skipped
+        path.write_text("\n".join(first[:2] + [row + ",note" for row in first[2:]]))
+        assert read_fit_samples(path) == samples  # columns past elapsed_ms are ignored
 
     def test_writer_refuses_mixed_result_set_sizes(self, tmp_path):
         with pytest.raises(ValueError, match="one total_records"):

@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rowfetch import cli, trace_analysis
-from rowfetch.core_model import FieldError, WorkloadSpec, replace, round_trips
+from rowfetch.core_model import (FieldError, WorkloadSpec, _number, _row_number, replace,
+                                 round_trips)
 from rowfetch.fetch_sim import (
     DriverSpec,
     NetworkSpec,
@@ -37,8 +38,6 @@ from rowfetch.trace_analysis import (
     TraceFormatError,
     _above_threshold,
     _median_in_place,
-    _number,
-    _row_number,
     _std_in_place,
     analyze_trace,
     avg_trip_time_from_trace,
