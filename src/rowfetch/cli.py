@@ -15,7 +15,8 @@ Importing this module loads only core_model, which every command uses.
 Each command imports the layers it runs when it runs: simulate and
 sweep load config and fetch_sim, recommend loads config, fetch_sim and
 tuner, analyze loads trace_analysis, and fit loads model_fit.  Building
-the parser (and so --help) loads none of them.
+the parser (and so --help) loads none of them.  Only analyze, fit and
+recommend print JSON, so only they import json.
 
 Only simulate, analyze and a jittered sim-mode sweep build arrays, and
 only they import numpy: fetch_sim imports it inside the functions that
@@ -26,14 +27,26 @@ fetch_sim.jitter_free_total, which builds no array.
 Run as a program (the rowfetch script or python -m rowfetch.cli), the
 CLI sets OPENBLAS_NUM_THREADS=1 unless the environment already sets it,
 before numpy is first imported.  No rowfetch code calls a BLAS routine,
-so OpenBLAS's worker threads would only cost start-up time.  main()
-leaves the environment alone, for callers that run it in-process.
+so OpenBLAS's worker threads would only cost start-up time.
+
+A program run also ends without the interpreter's teardown.  Once
+main() returns its exit code, run() calls the atexit handlers, flushes
+stdout and stderr, and ends the process with os._exit.  That skips the
+final garbage collection and module clearing, which took 8-12 ms a
+process on a 2-vCPU machine, and 20-22 ms once numpy was loaded.
+Every file a command writes is closed by its with block before main()
+returns, so nothing is lost.  If the flush fails (a closed stdout pipe,
+say), run() exits through sys.exit as before.  A usage error and an
+uncaught exception exit as before too.
+
+main() sets no environment variable and ends no process, for callers
+that run it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
 import os
 import sys
 from pathlib import Path
@@ -94,6 +107,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    import json
+
     from . import trace_analysis
 
     # The array is passed on, not kept, so it is freed before the JSON is built.
@@ -146,6 +161,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import json
+
     from . import model_fit
 
     samples = model_fit.read_fit_samples(args.samples)
@@ -155,6 +172,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    import json
+
     from . import fetch_sim, tuner
 
     # The jitter-free law is priced, so a jittered config needs no seed here.
@@ -239,9 +258,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The rowfetch program: main() on sys.argv, ended without interpreter teardown."""
     # Before numpy is imported, so OpenBLAS starts no thread pool that nothing uses.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    code = main()
+    atexit._run_exitfuncs()  # the first step of the teardown skipped below
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when Python started with the fd closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)  # the teardown reports the failed flush as it always has
+    os._exit(code)
 
 
 if __name__ == "__main__":

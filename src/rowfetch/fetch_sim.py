@@ -25,9 +25,10 @@ blocks of rows, each built as one byte array from the row numbers and the
 repr of its few nonzero values.
 
 Without jitter a fetch's total needs no trace: jitter_free_total prices
-its at most four kinds of trip once each, in O(1) and bit for bit as
-simulate_fetch would, so a jitter-free sim-mode sweep imports no numpy;
-only a jittered one simulates each size.
+its at most four kinds of trip once each and sums them exactly in
+Python ints, in O(1) and bit for bit as simulate_fetch would, so a
+jitter-free sim-mode sweep imports neither numpy nor fractions; only a
+jittered one simulates each size.
 
 numpy is imported by the functions that build arrays, not by the module,
 so specs, configs, cost_constants and jitter_free_total load without it.
@@ -308,14 +309,14 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
     Without jitter every trip is one of at most four kinds: the first,
     which also pays the hard parse; full trips triggering batch // cache
     refills; full trips triggering one more; and the last.  Each kind's
-    total is priced once by _price_trips, in simulate_fetch's order,
-    and the kinds' exact sum is rounded once.  math.fsum rounds its exact
-    sum correctly too, so the two totals are the same float, and both
-    raise checked_total's error when the sum leaves float64.  Uses no
-    numpy.
+    total is priced once by _price_trips, in simulate_fetch's order.
+    Each total is a dyadic rational p / q, so scaled to the largest q
+    every one is an int; their exact sum is rounded once by int / int,
+    which Python rounds correctly.  math.fsum rounds its exact sum
+    correctly too, so the two totals are the same float, and both raise
+    checked_total's error when the sum leaves float64.  Uses no numpy
+    and no fractions.
     """
-    from fractions import Fraction
-
     f = effective_prefetch(driver)
     n = workload.total_records
     trips = round_trips(n, f)
@@ -331,10 +332,12 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
         more = _refills(before_last, cache) - _refills(batch, cache) - few * middle
         kinds += [(batch, few, False, middle - more), (batch, few + 1, False, more),
                   (n - before_last, _refills(n, cache) - _refills(before_last, cache), False, 1)]
-    exact = sum(Fraction(_trip_total(records, refills, first, workload, net, server, driver))
-                * count for records, refills, first, count in kinds if count)
+    ratios = [(_trip_total(records, refills, first, workload, net, server,
+                           driver).as_integer_ratio(), count)
+              for records, refills, first, count in kinds if count]
+    scale = max(q for (_, q), _ in ratios)  # every q is a power of two, so divides it
     try:
-        return float(exact)
+        return sum(p * (scale // q) * count for (p, q), count in ratios) / scale
     except OverflowError:  # finite trips whose sum leaves float64
         return checked_total(math.inf)
 

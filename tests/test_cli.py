@@ -89,22 +89,36 @@ REPORT_THREADS = ("import atexit, os, sys; atexit.register(lambda: print("
                   "else -1, file=sys.stderr)); ")
 
 
-def run_python(code: str, *args: str, environ=None) -> subprocess.CompletedProcess:
-    """`python -c CODE ARGS...` with rowfetch importable, killed after 20 s so a hang fails.
+def run_python(code: str, *args: str, environ=None, options=(),
+               stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python OPTIONS... -c CODE ARGS...` with rowfetch importable.
 
-    The child's environment is environ, by default this process's.
+    The child is killed after 20 s, so a hang fails.  Its environment is
+    environ, by default this process's, and its stdout goes to stdout, by
+    default a pipe read into the result.
     """
     environ = os.environ if environ is None else environ
     src = str(Path(rowfetch.__file__).resolve().parents[1])
     env = {**environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=20)
+    return subprocess.run([sys.executable, *options, "-c", code, *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=20)
 
 
 def run_cli(*args: str, prelude: str = "", environ=None) -> subprocess.CompletedProcess:
     """`rowfetch ARGS...` in a child process that first runs prelude."""
     return run_python(prelude + "from rowfetch.cli import run; run()", *args, environ=environ)
+
+
+def loaded_after(argv, *modules: str) -> list[str]:
+    """Those of modules that a child has imported once it has imported
+    rowfetch.cli and, unless argv is empty, run main(argv) to exit 0."""
+    done = run_python("import sys, rowfetch.cli; modules, *argv = sys.argv[1:]; "
+                      "rc = rowfetch.cli.main(argv) if argv else 0; "
+                      "print(*sorted(set(modules.split()) & set(sys.modules)), file=sys.stderr); "
+                      "sys.exit(rc)", " ".join(modules), *argv)
+    assert done.returncode == EXIT_OK
+    return done.stderr.split()
 
 
 def outputs_match_with_prelude(tmp_path, argv, prelude: str) -> bool:
@@ -603,10 +617,13 @@ class TestNumpyFreeCommands:
         assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
         argv = (["analyze", str(trace)] if command == "analyze"
                 else command_args(tmp_path, command, "baseline.cfg"))
-        done = run_python("import sys; from rowfetch.cli import main; rc = main(sys.argv[1:]); "
-                          "print(sorted({'fractions', 'decimal', 'rowfetch.model_fit'} "
-                          "& set(sys.modules)), file=sys.stderr); sys.exit(rc)", *argv)
-        assert (done.returncode, done.stderr) == (EXIT_OK, "[]\n")
+        assert loaded_after(argv, "fractions", "decimal", "rowfetch.model_fit") == []
+
+    @pytest.mark.parametrize("command", ["sweep_sim", "recommend"])
+    def test_jitter_free_commands_load_no_exact_arithmetic(self, tmp_path, command):
+        # jitter_free_total sums its trips exactly in ints.
+        argv = command_args(tmp_path, command, "baseline.cfg")
+        assert loaded_after(argv, "fractions", "decimal") == []
 
 
 class TestCommandLayers:
@@ -627,6 +644,12 @@ class TestCommandLayers:
                                                                  blocked):
         assert outputs_match_with_prelude(tmp_path, baseline_args(tmp_path, command),
                                           block_layers(*blocked))
+
+    @pytest.mark.parametrize("command", ["", "sweep_sim"])
+    def test_import_and_sweep_load_no_json(self, tmp_path, command):
+        # Only analyze, fit and recommend print JSON.
+        argv = command_args(tmp_path, command, "baseline.cfg") if command else []
+        assert loaded_after(argv, "json") == []
 
     def test_zero_run_default_is_the_tuners(self):
         args = cli.build_parser().parse_args(["recommend", "baseline.cfg",
@@ -720,6 +743,96 @@ class TestBlasThreads:
         for command in ("simulate", "analyze"):
             assert cli.main(self.argv(tmp_path, command)) == EXIT_OK
         assert dict(os.environ) == before
+
+
+class TestProcessExit:
+    """run() ends its process without interpreter teardown, which nobody can observe.
+
+    Its atexit handlers run, stdout and stderr are flushed, and every file a
+    command writes is closed before main() returns.
+    """
+
+    CASES = ["simulate", "analyze", "sweep_sim", "fit", "recommend", "missing_samples",
+             "bad_mode"]
+
+    @staticmethod
+    def environ(unbuffered: bool):
+        """This process's environment with PYTHONUNBUFFERED set or unset."""
+        environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return environ | {"PYTHONUNBUFFERED": "1"} if unbuffered else environ
+
+    @staticmethod
+    def case_args(tmp_path, case: str) -> list[str]:
+        if case == "missing_samples":  # exit 3
+            return ["fit", str(tmp_path / "missing.csv")]
+        if case == "bad_mode":  # exit 2
+            return ["sweep", "baseline.cfg", "--f-range", "1:5", "--mode", "psychic",
+                    "--out", str(tmp_path / "s.tsv")]
+        return baseline_args(tmp_path, case)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_process_matches_main_in_process(self, tmp_path, capsys, case):
+        argv = self.case_args(tmp_path, case)
+        capsys.readouterr()
+        inputs = set(tmp_path.iterdir())
+
+        def take_outputs():
+            written = {path: path.read_bytes() for path in set(tmp_path.iterdir()) - inputs}
+            for path in written:
+                path.unlink()
+            return written
+
+        done = run_cli(*argv, environ=self.environ(unbuffered=False))
+        in_child = (done.returncode, done.stdout, done.stderr, take_outputs())
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert in_child == (rc, *capsys.readouterr(), take_outputs())
+        assert rc == {"missing_samples": EXIT_INPUT, "bad_mode": EXIT_USAGE}.get(case, EXIT_OK)
+
+    def test_atexit_handlers_run_before_the_streams_are_flushed(self):
+        # Buffered, so only the flush sends what the handler prints.
+        done = run_cli("recommend", "baseline.cfg", "--budget-bytes", "1000000",
+                       prelude="import atexit, sys; atexit.register(lambda: (print('out'), "
+                               "print('err', file=sys.stderr))); ",
+                       environ=self.environ(unbuffered=False))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "err\n")
+        assert done.stdout.startswith("{") and done.stdout.endswith("\nout\n")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_pipe_exits_as_before(self, unbuffered):
+        argv = ["recommend", "baseline.cfg", "--budget-bytes", "1000000"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = [run_python(entry, *argv, environ=self.environ(unbuffered), stdout=write_end)
+                    for entry in ("from rowfetch.cli import run; run()",
+                                  "import sys; from rowfetch.cli import main; sys.exit(main())")]
+        finally:
+            os.close(write_end)
+        assert (done[0].returncode, done[0].stderr) == (done[1].returncode, done[1].stderr)
+        if unbuffered:  # print fails inside main(), which reports it
+            assert (done[0].returncode, done[0].stderr) == (
+                EXIT_INPUT, "error: [Errno 32] Broken pipe\n")
+
+    def test_missing_stdout_is_no_error(self):
+        # Python starts with sys.stdout None when file descriptor 1 is closed.
+        done = run_cli("recommend", "baseline.cfg", "--budget-bytes", "1000000",
+                       prelude="import os, sys; os.close(1); sys.stdout = None; ")
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "", "")
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep_sim", "sweep_jittered",
+                                         "fit", "recommend"])
+    def test_commands_leave_no_file_open(self, tmp_path, command):
+        # os._exit would drop what an unclosed file still buffers; under
+        # -X dev the normal teardown reports any such file as a ResourceWarning.
+        argv = (baseline_args(tmp_path, "sweep_sim") + ["--jitter", "0.1"]
+                if command == "sweep_jittered" else baseline_args(tmp_path, command))
+        done = run_python("import sys; from rowfetch.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", *argv,
+                          options=("-X", "dev", "-W", "error::ResourceWarning"))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
 
 
 class TestRecommend:

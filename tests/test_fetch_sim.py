@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,6 +250,49 @@ class TestJitterFreeTotal:
         for search in (1e306, 1e308):
             with pytest.raises(ValueError, match="overflows"):
                 jitter_free_total(WIDE, WAN, ServerSpec(per_record_search=search), DRIVER)
+
+    def test_sum_past_float64_is_simulate_fetchs_error(self):
+        slow = ServerSpec(per_record_search=1e306)  # 51 finite trips of 1e307 ms
+        with pytest.raises(ValueError) as simulated:
+            simulate_fetch(WIDE, WAN, slow, DRIVER)
+        with pytest.raises(ValueError) as priced:
+            jitter_free_total(WIDE, WAN, slow, DRIVER)
+        assert (type(priced.value), str(priced.value)) == (type(simulated.value),
+                                                          str(simulated.value))
+
+    @given(st.integers(0, 3000), st.integers(1, 400), st.integers(1, 400), st.data())
+    def test_sums_its_trips_exactly(self, n, f, cache, data):
+        # Each kind of trip costs a drawn total, from subnormal to past 1e300;
+        # the reference walks every trip of the fetch and sums in Fractions.
+        totals = {}
+
+        def drawn_total(records, refills, first, *specs):
+            kind = records, refills, first
+            if kind not in totals:
+                totals[kind] = data.draw(st.floats(0.0, sys.float_info.max))
+            return totals[kind]
+
+        workload = WorkloadSpec(n, WIDE.field_byte_sizes)
+        server = replace(SERVER, server_cache_size=cache)
+        driver = replace(DRIVER, enforced_prefetch=f)
+        with mock.patch.object(fetch_sim, "_trip_total", drawn_total):
+            try:
+                priced = jitter_free_total(workload, WAN, server, driver)
+            except ValueError as exc:
+                priced = exc
+
+        def refills(served):  # disk refills behind the first served records
+            return -(-served // cache)
+
+        served = [min(f * i, n) for i in range(round_trips(n, f) + 1)]
+        exact = sum(Fraction(totals[now - before, refills(now) - refills(before), not before])
+                    for before, now in zip(served, served[1:]))
+        try:
+            expected = float(exact)
+        except OverflowError:  # the exact sum leaves float64
+            assert isinstance(priced, ValueError) and "overflows" in str(priced)
+        else:
+            assert priced == expected
 
 
 class TestJitter:
