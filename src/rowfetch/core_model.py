@@ -14,9 +14,9 @@ hyperbola in f above the floor.  Both forms, the discrete trip-count
 slope, and curve sweeps live here.  Nothing in this module simulates
 anything or touches I/O.
 
-Record, the base of every value type in the package, replace, which
-copies one with fields changed, and the number grammar of both input
-readers live here too, since every command loads this module.
+Record, the base of every value type, replace, which copies one with
+fields changed, dyadic_ints, which makes floats exact ints, and both
+input readers' number grammar live here too: every command loads it.
 """
 
 from __future__ import annotations
@@ -58,6 +58,17 @@ def checked_total(ms: float) -> float:
     if not math.isfinite(ms):
         raise ValueError("elapsed time overflows float64; the configured costs are too large")
     return ms
+
+
+def dyadic_ints(values: Iterable[float]) -> tuple[list[int], int]:
+    """Finite floats as ints over one power of two: values[i] == ints[i] / scale exactly.
+
+    scale is the largest as_integer_ratio() denominator (1 for no values),
+    so sums of the ints are exact and one int / int rounds each correctly.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max((q for _, q in ratios), default=1)
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _row_number(field: str) -> int:

@@ -24,11 +24,10 @@ and a simulation costs O(trips), not O(rows).  The trace CSV is written in
 blocks of rows, each built as one byte array from the row numbers and the
 repr of its few nonzero values.
 
-Without jitter a fetch's total needs no trace: jitter_free_total prices
-its at most four kinds of trip once each and sums them exactly in
-Python ints, in O(1) and bit for bit as simulate_fetch would, so a
-jitter-free sim-mode sweep imports neither numpy nor fractions; only a
-jittered one simulates each size.
+Without jitter a fetch's total needs no trace: jitter_free_total prices its
+at most four kinds of trip once each and sums them exactly in Python ints,
+in O(1) and bit for bit as simulate_fetch would, so a jitter-free sim-mode
+sweep imports no numpy; only a jittered one simulates each size.
 
 numpy is imported by the functions that build arrays, not by the module,
 so specs, configs, cost_constants and jitter_free_total load without it.
@@ -40,7 +39,7 @@ import math
 from typing import TYPE_CHECKING, Iterator
 
 from .core_model import (TRACE_HEADER, CostConstants, Record, WorkloadSpec, checked_total,
-                         finite_nonneg, require, round_trips)
+                         dyadic_ints, finite_nonneg, require, round_trips)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -285,14 +284,15 @@ def simulate_fetch(
     records = np.minimum(batch, n - batch * np.arange(trips))
     refills = np.diff(_refills(np.cumsum(records), cache), prepend=0)  # per trip
     block = np.empty((trips, 5))
-    for rows, first in ((slice(None, 1), True), (slice(1, None), False)):
-        _price_trips(block[rows].T, records[rows], refills[rows], first, workload, net,
-                     server, driver)
-    if jitter:
-        stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
-        block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
-    r, e, a, t, c = block.T
-    totals = r + e + a + t + c  # TripRecord.total_ms, same order
+    with np.errstate(over="ignore"):  # checked_total below reports a cost past float64
+        for rows, first in ((slice(None, 1), True), (slice(1, None), False)):
+            _price_trips(block[rows].T, records[rows], refills[rows], first, workload, net,
+                         server, driver)
+        if jitter:
+            stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
+            block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
+        r, e, a, t, c = block.T
+        totals = r + e + a + t + c  # TripRecord.total_ms, same order
     try:
         total = math.fsum(totals.tolist())
     except OverflowError:  # finite trips whose sum leaves float64
@@ -309,13 +309,11 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
     Without jitter every trip is one of at most four kinds: the first,
     which also pays the hard parse; full trips triggering batch // cache
     refills; full trips triggering one more; and the last.  Each kind's
-    total is priced once by _price_trips, in simulate_fetch's order.
-    Each total is a dyadic rational p / q, so scaled to the largest q
-    every one is an int; their exact sum is rounded once by int / int,
-    which Python rounds correctly.  math.fsum rounds its exact sum
-    correctly too, so the two totals are the same float, and both raise
-    checked_total's error when the sum leaves float64.  Uses no numpy
-    and no fractions.
+    total is priced once by _price_trips, in simulate_fetch's order, and
+    their dyadic_ints sum exactly, rounded once by int / int.  math.fsum
+    rounds its exact sum correctly too, so the two totals are the same
+    float, and both raise checked_total's error when the sum leaves
+    float64.  Uses no numpy.
     """
     f = effective_prefetch(driver)
     n = workload.total_records
@@ -332,12 +330,11 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
         more = _refills(before_last, cache) - _refills(batch, cache) - few * middle
         kinds += [(batch, few, False, middle - more), (batch, few + 1, False, more),
                   (n - before_last, _refills(n, cache) - _refills(before_last, cache), False, 1)]
-    ratios = [(_trip_total(records, refills, first, workload, net, server,
-                           driver).as_integer_ratio(), count)
-              for records, refills, first, count in kinds if count]
-    scale = max(q for (_, q), _ in ratios)  # every q is a power of two, so divides it
+    kinds = [kind for kind in kinds if kind[3]]  # a kind no trip is of is not priced
+    totals, scale = dyadic_ints([_trip_total(records, refills, first, workload, net, server,
+                                             driver) for records, refills, first, _ in kinds])
     try:
-        return sum(p * (scale // q) * count for (p, q), count in ratios) / scale
+        return sum(p * count for p, (*_, count) in zip(totals, kinds)) / scale
     except OverflowError:  # finite trips whose sum leaves float64
         return checked_total(math.inf)
 

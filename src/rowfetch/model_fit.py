@@ -9,12 +9,12 @@ so ordinary least squares recovers (k1..k4).  Physical constants cannot
 be negative, so the fit is the exact non-negative least-squares optimum:
 the best non-negative solve over every subset of the basis columns.
 
-The fit is solved exactly over the rationals.  The basis entries are
-integers and every elapsed time is an integer over a power of two, so
-the normal equations are summed once as Python ints, O(samples) work.
-One elimination in Fractions, `_solve`, gives the exact rank, the inverse
-for the condition number and each column subset's solve.  Each constant,
-and the residual RMS at the printed constants, is rounded to float64 once.
+The fit is solved exactly in Python ints.  The basis entries are integers
+and dyadic_ints makes every elapsed time an int over one power of two, so
+the normal equations are summed once as ints, O(samples) work.  One
+fraction-free elimination, `_solve`, gives the exact rank, the inverse for
+the condition number and each column subset's solve.  Each constant, and
+the residual RMS at the printed constants, is rounded to float64 once.
 
 Identifiability caveats handled here rather than silently mis-reported:
 
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .core_model import (CostConstants, InputError, Record, _number, _row_number, finite_nonneg,
-                         require)
+from .core_model import (CostConstants, InputError, Record, _number, _row_number, dyadic_ints,
+                         finite_nonneg, require)
 
 BASIS_NAMES = ("full_trips", "prefetch_size", "residual_trip", "residual_records")
 CONDITION_WARN_AT = 1e8
@@ -87,57 +86,60 @@ def _gram(columns: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in columns] for a in columns]
 
 
-def _solve(matrix, *rhs) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact x_j with matrix @ x_j == rhs_j, and the columns whose pivot was zero.
+def _solve(matrix, *rhs) -> tuple[list[list[int]], int, list[int]]:
+    """Int x_j and det with matrix @ x_j == det * rhs_j, and the columns whose pivot was zero.
 
-    Gauss-Jordan without row exchanges on a positive semidefinite Gram: a
-    column's pivot is its Schur complement on the columns before it, zero
-    exactly when it is their combination, and then its row and column are
-    zero too, so it is skipped with its unknown set to 0.
+    Fraction-free (Bareiss) Gauss-Jordan, no row exchanges, on an integer
+    positive semidefinite Gram: each step divides exactly by the pivot before
+    it, and each nonzero pivot row's diagonal ends as det.  A column's pivot
+    is zero exactly when it is a combination of the columns before it; then
+    its row and column are zero too, so it is skipped, its unknown 0, and
+    its row, never read again, is never updated again.
     """
-    rows = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs]
-            for i, row in enumerate(matrix)]
-    zero_pivots = []
+    rows = [[*row, *(b[i] for b in rhs)] for i, row in enumerate(matrix)]
+    det, zero_pivots = 1, []
     for p, pivot_row in enumerate(rows):
-        if not pivot_row[p]:
+        pivot = pivot_row[p]
+        if not pivot:
             zero_pivots.append(p)
             continue
-        for row in rows:
-            if row is not pivot_row and row[p]:
-                factor = row[p] / pivot_row[p]
-                for c in range(p, len(row)):
-                    row[c] -= factor * pivot_row[c]
-    return [[row[len(matrix) + j] / row[p] if row[p] else Fraction(0)
-             for p, row in enumerate(rows)] for j in range(len(rhs))], zero_pivots
+        for i, row in enumerate(rows):
+            if i != p and i not in zero_pivots:
+                factor = row[p]
+                row[:] = [(pivot * v - factor * w) // det for v, w in zip(row, pivot_row)]
+        det = pivot
+    return [[row[len(matrix) + j] if row[p] else 0 for p, row in enumerate(rows)]
+            for j in range(len(rhs))], det, zero_pivots
 
 
-def _solve_nonnegative(gram: list[list[int]], xty: list[Fraction]) -> list[Fraction]:
-    """Exact non-negative least squares, by trying every column subset.
+def _solve_nonnegative(gram: list[list[int]], xty: list[int]) -> tuple[list[int], int]:
+    """Exact non-negative least squares x = num / det, by trying every column subset.
 
-    The optimum is the unconstrained solve on some subset (Lawson &
-    Hanson 1974), so the feasible subset solve with the least residual
-    y^T y - xty^T x is exact, and unique for a positive definite gram.
-    Zeroing the other columns' rows and entries makes them zero pivots, at 0.
+    The optimum is the unconstrained solve on some subset (Lawson & Hanson
+    1974), so the feasible subset solve with the least residual y^T y - xty^T x
+    is exact, and unique for a positive definite gram.  Zeroing the other
+    columns' rows and entries makes them zero pivots, at 0.  Each subset's det,
+    a principal minor of the gram, is > 0, so gains compare by cross-multiplying.
     """
     width = len(gram)
-    best, best_gain = [Fraction(0)] * width, Fraction(0)  # the empty subset
+    best, best_det, best_gain = [0] * width, 1, 0  # the empty subset
     for size in range(width, 0, -1):
         for cols in combinations(range(width), size):
             keep = [int(c in cols) for c in range(width)]
-            (coef,), _ = _solve([[keep[i] * keep[j] * g for j, g in enumerate(row)]
-                                 for i, row in enumerate(gram)], list(map(mul, keep, xty)))
-            if min(coef) < 0:
+            (num,), det, _ = _solve([[keep[i] * keep[j] * g for j, g in enumerate(row)]
+                                     for i, row in enumerate(gram)], list(map(mul, keep, xty)))
+            if min(num) < 0:
                 continue
             if size == width:  # the unconstrained optimum is non-negative
-                return coef
-            gain = sum(map(mul, xty, coef))
-            if gain > best_gain:
-                best, best_gain = coef, gain
-    return best
+                return num, det
+            gain = sum(map(mul, xty, num))
+            if gain * best_det > best_gain * det:
+                best, best_det, best_gain = num, det, gain
+    return best, best_det
 
 
-def _log_largest_eigenvalue(matrix) -> float:
-    """ln of the largest eigenvalue of a symmetric positive definite matrix.
+def _log_largest_eigenvalue(matrix, den: int = 1) -> float:
+    """ln of the largest eigenvalue of a symmetric positive definite matrix / den.
 
     trace(A**p)**(1/p) falls to the largest eigenvalue as p grows, within
     a factor w**(1/p) for w columns.  A is scaled to unit trace exactly,
@@ -145,9 +147,10 @@ def _log_largest_eigenvalue(matrix) -> float:
     each squaring, with the logs of the traces summed at weight 1/p.  It
     stops at the first squaring whose trace is exactly 1.
     """
-    trace = sum(Fraction(matrix[i][i]) for i in range(len(matrix)))
-    log = math.log(trace.numerator) - math.log(trace.denominator)
-    a = [[float(v / trace) for v in row] for row in matrix]
+    trace = sum(matrix[i][i] for i in range(len(matrix)))
+    common = math.gcd(trace, den)  # the trace's ln from its lowest terms
+    log = math.log(trace // common) - math.log(den // common)
+    a = [[v / trace for v in row] for row in matrix]
     for k in range(1, 65):
         a = [[sum(map(mul, row, col)) for col in zip(*a)] for row in a]
         t = sum(a[i][i] for i in range(len(a)))
@@ -161,39 +164,38 @@ def _log_largest_eigenvalue(matrix) -> float:
     return log
 
 
-def _condition(gram: list[list[int]], inverse: list[list[Fraction]]) -> float:
-    """The design's 2-norm condition number from its exact Gram matrix G and G^-1.
+def _condition(gram: list[list[int]], adjugate: list[list[int]], det: int) -> float:
+    """The design's 2-norm condition number from its Gram G and G^-1 = adjugate / det.
 
     It is sqrt(lmax(G) * lmax(G^-1)); both largest eigenvalues are
     accurate to float64 however ill-conditioned G is, where the smallest
     eigenvalue of G would carry an error of eps * lmax(G).
     """
-    return math.exp((_log_largest_eigenvalue(gram) + _log_largest_eigenvalue(inverse)) / 2)
+    return math.exp((_log_largest_eigenvalue(gram) + _log_largest_eigenvalue(adjugate, det)) / 2)
 
 
-def _round(q: Fraction) -> float:
-    """q rounded once to float64; inf past its range."""
+def _round(num: int, den: int) -> float:
+    """num / den rounded once to float64; inf past its range."""
     try:
-        return float(q)
+        return num / den
     except OverflowError:
         return math.inf
 
 
-def _sqrt(q: Fraction) -> float:
-    """The float64 nearest sqrt(q) for a rational q >= 0, rounded once.
+def _sqrt(num: int, den: int) -> float:
+    """The float64 nearest sqrt(num / den) for ints num >= 0 and den > 0, rounded once.
 
-    q is scaled by the power of four 4**k that gives its integer square
-    root at least 55 bits.  An inexact root then gets a sticky low bit, so
-    the one rounding of root / 2**k is the rounding of sqrt(q).
+    num / den is scaled by the power of four 4**k that gives its integer
+    square root at least 55 bits.  An inexact root then gets a sticky low
+    bit, so the one rounding of root / 2**k is the rounding of the square root.
     """
-    if not q:
+    if not num:
         return 0.0
-    num, den = q.numerator, q.denominator
     k = (112 - num.bit_length() + den.bit_length()) // 2
     whole, rem = divmod(num << 2 * k, den) if k >= 0 else divmod(num, den << -2 * k)
     root = math.isqrt(whole)
     root, k = 2 * root + (rem != 0 or root * root != whole), k + 1
-    return _round(Fraction(root, 1 << k) if k >= 0 else Fraction(root << -k))
+    return _round(root, 1 << k) if k >= 0 else _round(root << -k, 1)
 
 
 def fit_cost_model(samples: list[FitSample]) -> FitResult:
@@ -220,32 +222,27 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
 
     gram = _gram(columns)
     identity = [[int(i == j) for i in range(len(gram))] for j in range(len(gram))]
-    inverse, zero_pivots = _solve(gram, *identity)  # the rank and, at full rank, the inverse
+    adjugate, det, zero_pivots = _solve(gram, *identity)  # the rank, and G^-1 at full rank
     if zero_pivots:
         raise FitError("design matrix is rank-deficient; collinear columns: "
                        + ", ".join(BASIS_NAMES[c] for c in zero_pivots))
 
-    condition = _condition(gram, inverse)
+    condition = _condition(gram, adjugate, det)
     condition_warning = condition > CONDITION_WARN_AT
     if condition_warning:
         warnings.append(f"ill-conditioned design matrix (condition {condition:.3g})")
 
-    # Every elapsed time is ys[i] / scale exactly, scale a power of two.
-    ratios = [s.total_elapsed.as_integer_ratio() for s in samples]
-    scale = max(q for _, q in ratios)
-    ys = [p * (scale // q) for p, q in ratios]
-    xty = [Fraction(sum(map(mul, col, ys)), scale) for col in columns]
-
-    coef = [_round(x) for x in _solve_nonnegative(gram, xty)]
+    ys, scale = dyadic_ints([s.total_elapsed for s in samples])
+    num, det = _solve_nonnegative(gram, [sum(map(mul, col, ys)) for col in columns])
+    coef = [_round(x, det * scale) for x in num]
     unfitted = 4 - len(coef)
     CostConstants(*coef, *[0.0] * unfitted)  # a non-finite constant fails here, named
-    # The residual sum of squares at the printed constants k, exactly:
-    # y^T y - 2 k^T X^T y + k^T G k.
-    k = [Fraction(c) for c in coef]
-    gk = [sum(map(mul, row, k)) for row in gram]
-    rss = (Fraction(sum(map(mul, ys, ys)), scale * scale) - 2 * sum(map(mul, k, xty))
-           + sum(map(mul, k, gk)))
-    return FitResult(*coef, *[None] * unfitted, _sqrt(rss / len(samples)), len(samples),
+    # Each residual at the printed constants ks / k_scale is an int over scale * k_scale.
+    ks, k_scale = dyadic_ints(coef)
+    rss = sum((sum(map(mul, row, ks)) * scale - y * k_scale) ** 2
+              for row, y in zip(zip(*columns), ys))
+    return FitResult(*coef, *[None] * unfitted,
+                     _sqrt(rss, (scale * k_scale) ** 2 * len(samples)), len(samples),
                      condition_warning, tuple(warnings))
 
 

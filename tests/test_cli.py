@@ -246,7 +246,7 @@ class TestSimulate:
 
 # Names that earlier versions read: an environment variable that overrode
 # run.seed, and a config key that was recorded and never applied.  Each is
-# spelled in two parts, so a search for it finds only the README's version note.
+# spelled in two parts, so a search of src, tests and the README finds neither.
 FORMER_SEED_ENV = "ROWFETCH" + "_SEED"
 FORMER_KEY = "driver.recommended" + "_prefetch"
 
@@ -612,7 +612,8 @@ class TestNumpyFreeCommands:
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_array_commands_load_no_exact_arithmetic(self, tmp_path, command):
-        # The fit's Fractions would only add to these commands' memory.
+        # No rowfetch module uses rationals, and model_fit would only add
+        # to these commands' memory.
         trace = tmp_path / "t.csv"
         assert cli.main(["simulate", "baseline.cfg", "--out-trace", str(trace)]) == EXIT_OK
         argv = (["analyze", str(trace)] if command == "analyze"
@@ -624,6 +625,10 @@ class TestNumpyFreeCommands:
         # jitter_free_total sums its trips exactly in ints.
         argv = command_args(tmp_path, command, "baseline.cfg")
         assert loaded_after(argv, "fractions", "decimal") == []
+
+    def test_fit_loads_no_exact_arithmetic(self, tmp_path):
+        # The fit solves its normal equations exactly in ints.
+        assert loaded_after(baseline_args(tmp_path, "fit"), "fractions", "decimal") == []
 
 
 class TestCommandLayers:
@@ -1045,6 +1050,16 @@ class TestConfigErrors:
         assert "inf" not in captured.out
         assert captured.err.startswith("error: elapsed time overflows float64")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output file
+
+    @pytest.mark.parametrize("jitter", ["0", "0.5"])
+    def test_trip_cost_overflow_is_one_error_line(self, tmp_path, capsys, jitter):
+        # 1e308 ms of search per record leaves float64 while numpy prices
+        # the trips; its overflow warning must not precede the error line.
+        cfg = config_file(tmp_path, {"server.per_record_search_ms": "1e308"})
+        argv = command_args(tmp_path, "simulate", cfg) + ["--jitter", jitter]
+        assert cli.main(argv) == EXIT_MODEL
+        assert capsys.readouterr().err == ("error: elapsed time overflows float64; "
+                                           "the configured costs are too large\n")
 
     @pytest.mark.parametrize("jitter", ["0", "0.1"])  # priced exactly, and simulated
     @pytest.mark.parametrize("search_ms, rc", [("1e306", EXIT_MODEL), ("1e303", EXIT_OK)])

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rowfetch.config import RunConfig
 from rowfetch.core_model import (
@@ -15,6 +19,7 @@ from rowfetch.core_model import (
     Record,
     SlopeRow,
     WorkloadSpec,
+    dyadic_ints,
     quantized_cost,
     reciprocal_cost,
     replace,
@@ -219,6 +224,17 @@ class TestSweepCurve:
             sweep_curve(502, 0, 10, CostConstants(1, 1, 1, 1))
         with pytest.raises(ValueError):
             sweep_curve(502, 1, 10, CostConstants(1, 1, 1, 1), mode="nope")
+
+
+class TestDyadicInts:
+    @given(st.lists(st.floats(0.0, sys.float_info.max)))
+    @example([])
+    @example([0.0])
+    @example([0.0, math.ulp(0.0), sys.float_info.min / 3, 1.5, sys.float_info.max])
+    def test_each_value_is_its_int_over_one_power_of_two(self, values):
+        ints, scale = dyadic_ints(values)
+        assert [Fraction(p, scale) for p in ints] == [Fraction(v) for v in values]
+        assert scale > 0 and scale & (scale - 1) == 0
 
 
 class TestTypes:

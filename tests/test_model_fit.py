@@ -259,18 +259,19 @@ class TestSolve:
     @given(small_designs())
     def test_one_zero_pivot_per_missing_rank(self, columns):
         # Each zero pivot is a column adding no rank to those before it.
-        _, zero_pivots = _solve(_gram(columns))
+        _, _, zero_pivots = _solve(_gram(columns))
         assert zero_pivots == [c for c in range(len(columns))
                                if exact_rank(columns[:c + 1]) == exact_rank(columns[:c])]
 
     @settings(max_examples=300)
     @given(small_designs())
     def test_identity_right_hand_sides_give_the_inverse(self, columns):
+        # The inverse is adjugate / det: gram @ adjugate == det * I.
         gram = _gram(columns)
-        inverse, zero_pivots = _solve(gram, *identity(len(gram)))
+        adjugate, det, zero_pivots = _solve(gram, *identity(len(gram)))
         assume(not zero_pivots)
-        assert [[sum(a * b for a, b in zip(row, col)) for col in inverse]
-                for row in gram] == identity(len(gram))
+        assert [[sum(a * b for a, b in zip(row, col)) for col in adjugate]
+                for row in gram] == [[det * v for v in row] for row in identity(len(gram))]
 
 
 class TestCondition:
@@ -285,10 +286,10 @@ class TestCondition:
                        [n % f for f in sizes]]
             gram = _gram(columns)
             want = np.linalg.cond(np.array(columns, dtype=float).T)
-            inverse, zero_pivots = _solve(gram, *identity(len(gram)))
+            adjugate, det, zero_pivots = _solve(gram, *identity(len(gram)))
             if zero_pivots or want > 1e6:
                 continue
-            assert _condition(gram, inverse) == pytest.approx(want, rel=1e-9)
+            assert _condition(gram, adjugate, det) == pytest.approx(want, rel=1e-9)
             checked += 1
         assert checked > 50
 
@@ -299,8 +300,8 @@ class TestCondition:
     ], ids=["equal", "pairs", "rotated"])
     def test_repeated_eigenvalues(self, gram, want):
         # The slowest case for the trace of powers: ties at the top.
-        inverse, _ = _solve(gram, *identity(len(gram)))
-        assert _condition(gram, inverse) == pytest.approx(want, rel=1e-12)
+        adjugate, det, _ = _solve(gram, *identity(len(gram)))
+        assert _condition(gram, adjugate, det) == pytest.approx(want, rel=1e-12)
 
 
 def is_nearest_sqrt(root: float, q: Fraction) -> bool:
@@ -314,20 +315,19 @@ def is_nearest_sqrt(root: float, q: Fraction) -> bool:
 class TestSqrt:
     @given(st.floats(0.0, sys.float_info.max))
     def test_is_math_sqrt_on_floats(self, x):
-        assert _sqrt(Fraction(x)) == math.sqrt(x)
+        assert _sqrt(*x.as_integer_ratio()) == math.sqrt(x)
 
     @given(st.integers(0, 2**2200), st.integers(1, 2**2200))
     def test_rounds_a_rational_root_once(self, num, den):
-        q = Fraction(num, den)
-        root = _sqrt(q)
-        assert root == math.inf or is_nearest_sqrt(root, q)
+        root = _sqrt(num, den)
+        assert root == math.inf or is_nearest_sqrt(root, Fraction(num, den))
 
     def test_stays_finite_at_float64s_ends(self):
         top, least = sys.float_info.max, math.ulp(0.0)
-        assert _sqrt(Fraction(top) ** 2) == top
-        assert _sqrt(Fraction(top) ** 2 * 3 / 4) == pytest.approx(top / 2 * 3**0.5)
-        assert _sqrt(Fraction(least) ** 2) == least
-        assert _sqrt(Fraction(0)) == 0.0
+        assert _sqrt(int(top) ** 2, 1) == top
+        assert _sqrt(int(top) ** 2 * 3, 4) == pytest.approx(top / 2 * 3**0.5)
+        assert _sqrt(1, 4**1074) == least  # least == 2**-1074
+        assert _sqrt(0, 1) == 0.0
 
 
 def cramer_solve(a, b) -> list[Fraction]:
