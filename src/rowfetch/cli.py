@@ -47,12 +47,13 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import math
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core_model import FieldError, InputError, replace, round_trips, sweep_curve
+from .core_model import FieldError, InputError, _integer, replace, round_trips, sweep_curve
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -68,8 +69,7 @@ _FLAG_OF = {"jitter": "--jitter", "median_ratio": "--median-ratio",
 
 
 # bench/probe.py times config loads by patching this name, so the commands
-# call it rather than config.load_config.  The package's own run stats
-# (ROADMAP item 7) remove it.
+# call it rather than config.load_config, until the package reports its own run stats.
 def load_config(*args, **kwargs) -> RunConfig:
     from . import config
     return config.load_config(*args, **kwargs)
@@ -95,7 +95,9 @@ def cmd_simulate(args) -> int:
     trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,
                                      seed=cfg.seed, jitter=cfg.jitter)
     fetch_sim.write_trace_csv(trace, trace_path, trips_path)
-    execution, retrieval = fetch_sim.stage_breakdown(trace)
+    # Execution is trip 1's request + execute; retrieval is the rest, its refill included.
+    execution = math.fsum(trace.components[:1, :2].flat)
+    retrieval = trace.total_elapsed_ms - execution
     print(f"effective_prefetch: {trace.effective_prefetch}")
     print(f"trips: {len(trace.records)}")
     print(f"total_elapsed_ms: {trace.total_elapsed_ms!r}")
@@ -124,8 +126,7 @@ def _parse_f_range(spec: str) -> tuple[int, int]:
     from .config import ConfigError
 
     try:
-        lo_text, hi_text = spec.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = map(_integer, spec.split(":", 1))
     except ValueError:
         raise ConfigError("--f-range", f"expected LO:HI, got {spec!r}") from None
     if lo < 1 or hi < lo:

@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .core_model import FieldError, InputError, Record, WorkloadSpec, replace, require
+from .core_model import (FieldError, InputError, Record, WorkloadSpec, _integer, _number,
+                         replace, require)
 from .fetch_sim import DriverSpec, HopSpec, NetworkSpec, ServerSpec, transport_time
 
 
@@ -55,33 +56,33 @@ class RunConfig(Record):
 
 
 def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    return [_integer(part) for part in text.split(",")]
 
 
 def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",")]
+    return [_number(part) for part in text.split(",")]
 
 
 # key -> (spec, spec field, text parser, what a parse error expected).
 _KEYS = {
-    "workload.total_records": ("workload", "total_records", int, "an integer"),
+    "workload.total_records": ("workload", "total_records", _integer, "an integer"),
     "workload.field_bytes": ("workload", "field_byte_sizes", _ints,
                              "comma-separated integers"),
-    "network.hops": ("network", "hops", int, "an integer"),
+    "network.hops": ("network", "hops", _integer, "an integer"),
     "network.bandwidth_bytes_per_ms": ("hop", "bandwidth", _floats, "a number or comma list"),
     "network.base_latency_ms": ("hop", "base_latency", _floats, "a number or comma list"),
     "network.availability": ("hop", "availability", _floats, "a number or comma list"),
-    "server.hard_parse_ms": ("server", "hard_parse", float, "a number"),
-    "server.soft_parse_ms": ("server", "soft_parse", float, "a number"),
-    "server.per_record_search_ms": ("server", "per_record_search", float, "a number"),
-    "server.cache_records": ("server", "server_cache_size", int, "an integer"),
-    "server.disk_access_ms": ("server", "disk_access_per_refill", float, "a number"),
-    "driver.enforced_prefetch": ("driver", "enforced_prefetch", int, "an integer"),
-    "driver.default_prefetch": ("driver", "default_prefetch", int, "an integer"),
-    "driver.per_field_conversion_ms": ("driver", "per_field_conversion", float, "a number"),
-    "driver.request_overhead_ms": ("driver", "request_overhead", float, "a number"),
-    "run.seed": ("run", "seed", int, "an integer"),
-    "run.jitter": ("run", "jitter", float, "a number"),
+    "server.hard_parse_ms": ("server", "hard_parse", _number, "a number"),
+    "server.soft_parse_ms": ("server", "soft_parse", _number, "a number"),
+    "server.per_record_search_ms": ("server", "per_record_search", _number, "a number"),
+    "server.cache_records": ("server", "server_cache_size", _integer, "an integer"),
+    "server.disk_access_ms": ("server", "disk_access_per_refill", _number, "a number"),
+    "driver.enforced_prefetch": ("driver", "enforced_prefetch", _integer, "an integer"),
+    "driver.default_prefetch": ("driver", "default_prefetch", _integer, "an integer"),
+    "driver.per_field_conversion_ms": ("driver", "per_field_conversion", _number, "a number"),
+    "driver.request_overhead_ms": ("driver", "request_overhead", _number, "a number"),
+    "run.seed": ("run", "seed", _integer, "an integer"),
+    "run.jitter": ("run", "jitter", _number, "a number"),
 }
 _KEY_OF = {(spec, field): key for key, (spec, field, _, _) in _KEYS.items()}
 

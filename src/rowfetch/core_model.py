@@ -15,8 +15,8 @@ slope, and curve sweeps live here.  Nothing in this module simulates
 anything or touches I/O.
 
 Record, the base of every value type, replace, which copies one with
-fields changed, dyadic_ints, which makes floats exact ints, and both
-input readers' number grammar live here too: every command loads it.
+fields changed, dyadic_ints, which makes floats exact ints, and the
+number grammar of every input reader live here too: every command loads it.
 """
 
 from __future__ import annotations
@@ -71,20 +71,24 @@ def dyadic_ints(values: Iterable[float]) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in ratios], scale
 
 
-def _row_number(field: str) -> int:
-    # Both input readers' integer field, as np.loadtxt parses an int64:
-    # one optional sign and ASCII digits, stripped of what str.strip strips.
+def _integer(field: str) -> int:
+    # Every reader's integer field, of any size: one optional sign and ASCII digits.
     field = field.strip()
     if not (field.isascii() and field.lstrip("+-").isdigit()):
         raise ValueError(f"not a decimal integer: {field!r}")
-    value = int(field)  # a second sign is a ValueError
+    return int(field)  # a second sign is a ValueError
+
+
+def _row_number(field: str) -> int:
+    # The trace and fit readers' integer field, as np.loadtxt parses an int64.
+    value = _integer(field)
     if not -2**63 <= value < 2**63:
         raise ValueError("integer outside the int64 range")
     return value
 
 
 def _number(field: str) -> float:
-    # Both input readers' float field, as np.loadtxt parses a float64:
+    # Every reader's float field, as np.loadtxt parses a float64:
     # what float() parses, less underscores and non-ASCII digits.
     field = field.strip()
     if not field.isascii() or "_" in field:
@@ -241,15 +245,6 @@ def quantized_cost(plan: FetchPlan, k: CostConstants) -> float:
     return checked_total(cost)
 
 
-def reciprocal_cost(n: int, f: int, k1: float) -> float:
-    """Transport time (ms) on the continuous hyperbola k1 * n / f."""
-    if f < 1:
-        raise ValueError("prefetch size must be >= 1")
-    if n < 0:
-        raise ValueError("record count must be >= 0")
-    return checked_total(k1 * n / f)
-
-
 def trip_decrease_per_unit_f(n: int, f: int) -> int:
     """How many round trips a one-record bump of the prefetch size saves."""
     return round_trips(n, f) - round_trips(n, f + 1)
@@ -290,7 +285,9 @@ def sweep_curve(
     for f in range(f_lo, f_hi + 1):
         if mode == "quantized":
             elapsed = quantized_cost(FetchPlan(f, n), k)
+        elif n < 0:  # FetchPlan refuses it in the quantized branch
+            raise ValueError("record count must be >= 0")
         else:
-            elapsed = checked_total(reciprocal_cost(n, f, k.k1) + k.floor) if n else 0.0
+            elapsed = checked_total(k.k1 * n / f + k.floor) if n else 0.0
         points.append(CurvePoint(f, elapsed))
     return points

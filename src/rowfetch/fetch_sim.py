@@ -339,20 +339,6 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
         return checked_total(math.inf)
 
 
-def stage_breakdown(trace: LatencyTrace) -> tuple[float, float]:
-    """Split total elapsed into (execution_time, retrieval_time) ms.
-
-    Execution is the engine-side share of the first trip (request plus
-    execute); retrieval is everything else, including the first batch's
-    own refill, transport, and conversion.
-    """
-    if not len(trace.records):
-        return 0.0, 0.0
-    request, execute = trace.components[0, :2].tolist()
-    execution = request + execute
-    return execution, trace.total_elapsed_ms - execution
-
-
 def cost_constants(workload: WorkloadSpec, net: NetworkSpec, server: ServerSpec,
                    driver: DriverSpec) -> CostConstants:
     """The simulator's exact law a * ceil(N/f) + C, as model constants.

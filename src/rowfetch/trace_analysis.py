@@ -28,8 +28,8 @@ analysis functions accept that array or any sequence of pairs.  One
 rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
-analyze_trace checks the rule once for all the steps it runs.
-The rule is checked a fixed block of rows at a time, so analysis holds
+One function checks the rule, for the reader and once for all of
+analyze_trace's steps, a fixed block of rows at a time, so analysis holds
 the reader's 16 bytes per row plus O(peaks) data and 1-byte masks; the
 statistical rule adds one n-length float64 copy, in which the stdev and
 then the median are taken; the median by partitioning that copy, as
@@ -97,16 +97,16 @@ def _sample_array(samples: Samples) -> np.ndarray:
     if samples.size and (samples.ndim != 2 or samples.shape[1] != 2):
         raise ValueError(_TRACE_RULE)
     samples = samples.reshape(-1, 2)
-    _check_trace_rule(samples)
+    _check_trace_rule(samples[:, 0], samples[:, 1])
     return samples
 
 
-def _check_trace_rule(samples: np.ndarray) -> None:
-    """Raise ValueError unless the (n, 2) array's rows are 1..n with finite elapsed_ms."""
-    for lo in range(0, len(samples), _BLOCK_ROWS):
-        block = samples[lo:lo + _BLOCK_ROWS]
-        if not (np.array_equal(block[:, 0], np.arange(lo + 1, lo + len(block) + 1))
-                and np.isfinite(block[:, 1]).all()):
+def _check_trace_rule(rows: np.ndarray, ms: np.ndarray) -> None:
+    """Raise ValueError unless the rows column is 1..n and every elapsed_ms is finite."""
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(rows))
+        if not (np.array_equal(rows[lo:hi], np.arange(lo + 1, hi + 1))
+                and np.isfinite(ms[lo:hi]).all()):
             raise ValueError(_TRACE_RULE)
 
 
@@ -285,13 +285,11 @@ def read_trace_samples(path) -> np.ndarray:
             table = np.loadtxt(os.path.abspath(path), skiprows=1, encoding="utf-8",
                                delimiter=",", dtype=_TRACE_DTYPE, comments=None,
                                usecols=(0, 1), ndmin=1)
+        _check_trace_rule(table["row"], table["ms"])
         samples = table.view(np.float64).reshape(-1, 2)
         for lo in range(0, len(table), _BLOCK_ROWS):
-            block = table[lo:lo + _BLOCK_ROWS]
-            rows = np.arange(lo + 1, lo + len(block) + 1)
-            if not (np.array_equal(block["row"], rows) and np.isfinite(block["ms"]).all()):
-                raise ValueError(_TRACE_RULE)
-            samples[lo:lo + len(block), 0] = rows
+            hi = min(lo + _BLOCK_ROWS, len(table))
+            samples[lo:hi, 0] = np.arange(lo + 1, hi + 1)
         return samples
     except (ValueError, DeprecationWarning) as exc:
         raise TraceFormatError(_first_bad_line(path)) from exc

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import rowfetch
-from rowfetch import cli, config, fetch_sim, trace_analysis, tuner
+from rowfetch import cli, config, core_model, fetch_sim, trace_analysis, tuner
 from rowfetch.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, EXIT_USAGE
 from rowfetch.config import list_presets, load_config
 from rowfetch.core_model import CostConstants, FetchPlan, quantized_cost, round_trips
@@ -253,6 +253,8 @@ FORMER_KEY = "driver.recommended" + "_prefetch"
 
 class TestSeedPrecedence:
     @pytest.mark.parametrize("flag, key, value", [("--seed", "run.seed", "99"),
+                                                  ("--seed", "run.seed", "-1"),
+                                                  ("--seed", "run.seed", str(2**130)),
                                                   ("--jitter", "run.jitter", "0.4")])
     def test_flag_overrides_config(self, tmp_path, flag, key, value):
         cfg = config_file(tmp_path, {"run.jitter": "0.25"})
@@ -982,10 +984,22 @@ class TestConfigErrors:
     def test_value_outside_its_domain_names_its_key(self, tmp_path, capsys, key):
         parse = config._KEYS[key][2]
         special = {"workload.field_bytes": "0", "run.seed": "x"}
-        bad = special.get(key, "-1" if parse is int else "nan")
+        bad = special.get(key, "-1" if parse is core_model._integer else "nan")
         rc, _, _ = simulate(tmp_path, config_file(tmp_path, {key: bad}))
         assert rc == EXIT_INPUT
         assert f"error: {key}:" in capsys.readouterr().err
+
+    # Python's int() and float() read both as 10; the trace and fit readers refuse them.
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic_indic"])
+    @pytest.mark.parametrize("key", [*sorted(config._KEYS), "--f-range"])
+    def test_values_follow_the_readers_number_grammar(self, tmp_path, capsys, key, value):
+        if key == "--f-range":
+            rc = cli.main(["sweep", config_file(tmp_path), "--f-range", f"1:{value}",
+                           "--out", str(tmp_path / "s.tsv")])
+        else:
+            rc, _, _ = simulate(tmp_path, config_file(tmp_path, {key: value}))
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
 
     @pytest.mark.parametrize("line, key", [
         (b"workload.total_records=5\xff", "workload.total_records"),

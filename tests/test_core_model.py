@@ -21,7 +21,6 @@ from rowfetch.core_model import (
     WorkloadSpec,
     dyadic_ints,
     quantized_cost,
-    reciprocal_cost,
     replace,
     round_trips,
     slope_table,
@@ -133,29 +132,38 @@ class TestQuantizedCost:
         with pytest.raises(ValueError, match="overflows"):
             quantized_cost(FetchPlan(10, 502), k)
         with pytest.raises(ValueError, match="overflows"):
-            reciprocal_cost(502, 10, 1e307)
+            sweep_curve(502, 10, 10, k, mode="reciprocal")
         with pytest.raises(ValueError, match="overflows"):  # a finite curve, but not with its floor
             sweep_curve(502, 1, 1, CostConstants(1e305, 0.0, 0.0, 0.0, floor=1.7e308),
                         mode="reciprocal")
 
 
+def reciprocal(n: int, f: int, k1: float) -> float:
+    """sweep_curve's reciprocal-mode elapsed at the one size f, with no floor."""
+    [point] = sweep_curve(n, f, f, CostConstants(k1, 0.0, 0.0, 0.0), mode="reciprocal")
+    assert point.prefetch_size == f
+    return point.elapsed
+
+
 class TestReciprocalCost:
+    """sweep_curve's reciprocal mode: the k1 * n / f hyperbola."""
+
     def test_hyperbola_values(self):
-        assert reciprocal_cost(502, 10, 200.0) == pytest.approx(10040.0)
-        assert reciprocal_cost(502, 502, 200.0) == pytest.approx(200.0)
-        assert reciprocal_cost(502, 251, 200.0) == pytest.approx(400.0)
+        assert reciprocal(502, 10, 200.0) == pytest.approx(10040.0)
+        assert reciprocal(502, 502, 200.0) == pytest.approx(200.0)
+        assert reciprocal(502, 251, 200.0) == pytest.approx(400.0)
 
     def test_asymptote_vanishes(self):
         for n in (1, 502, 2000):
-            assert reciprocal_cost(n, 10**6 * n, 200.0) < 200.0 * 1e-5 * n
+            assert reciprocal(n, 10**6 * n, 200.0) < 200.0 * 1e-5 * n
 
     def test_rejects_zero_prefetch(self):
         with pytest.raises(ValueError):
-            reciprocal_cost(502, 0, 200.0)
+            reciprocal(502, 0, 200.0)
 
     def test_rejects_negative_record_count(self):
         with pytest.raises(ValueError, match="record count must be >= 0"):
-            reciprocal_cost(-1, 1, 1.0)
+            reciprocal(-1, 1, 1.0)
 
 
 class TestTripDecrease:

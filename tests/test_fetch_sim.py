@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rowfetch import fetch_sim
+from rowfetch import cli, config, fetch_sim
 from rowfetch.core_model import (FetchPlan, FieldError, WorkloadSpec, quantized_cost, replace,
                                  round_trips)
 from rowfetch.fetch_sim import (
@@ -28,7 +28,6 @@ from rowfetch.fetch_sim import (
     effective_prefetch,
     jitter_free_total,
     simulate_fetch,
-    stage_breakdown,
     transport_time,
     write_trace_csv,
 )
@@ -73,6 +72,34 @@ def assert_matches_reference(tmp_path, n, f, jitter):
     reference_csv(trace, tmp_path / "r.csv", tmp_path / "r_trips.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
     assert (tmp_path / "t_trips.csv").read_bytes() == (tmp_path / "r_trips.csv").read_bytes()
+
+
+def simulate_summary(tmp_path, capsys, workload, net, server, driver) -> dict[str, str]:
+    """The `name: value` lines that `rowfetch simulate` prints for these specs.
+
+    The specs are written to a config file under tmp_path, which must load
+    back as the same specs, and simulated by cli.main in-process.
+    """
+    pairs = {"workload.total_records": workload.total_records,
+             "workload.field_bytes": ",".join(map(str, workload.field_byte_sizes)),
+             "network.hops": len(net.hops)}
+    specs = {"server": server, "driver": driver}
+    for key, (spec, field, *_) in config._KEYS.items():
+        if spec == "hop" and net.hops:
+            pairs[key] = ",".join(repr(getattr(hop, field)) for hop in net.hops)
+        elif spec in specs and getattr(specs[spec], field) is not None:
+            pairs[key] = repr(getattr(specs[spec], field))
+    path = tmp_path / "specs.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()))
+    cfg = config.load_config(str(path))
+    assert (cfg.workload, cfg.network, cfg.server, cfg.driver) == (workload, net, server, driver)
+    assert cli.main(["simulate", str(path), "--out-trace", str(tmp_path / "t.csv")]) == 0
+    return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def stages(summary: dict[str, str]) -> tuple[float, float]:
+    """(execution_ms, retrieval_ms) of a simulate summary."""
+    return float(summary["execution_ms"]), float(summary["retrieval_ms"])
 
 
 class TestEffectivePrefetch:
@@ -204,13 +231,14 @@ class TestSimulateFetch:
         assert (math.fsum(t.transport_ms for t in t_far.trip_log)
                 == 2 * math.fsum(t.transport_ms for t in t_near.trip_log))
 
-    def test_empty_workload_empty_trace(self):
+    def test_empty_workload_empty_trace(self, tmp_path, capsys):
         w = WorkloadSpec(0, (100,))
         trace = simulate_fetch(w, WAN, SERVER, DRIVER)
         assert trace.samples.shape == (0, 2)
         assert trace.trip_log == ()
         assert trace.total_elapsed_ms == 0.0
-        assert stage_breakdown(trace) == (0.0, 0.0)
+        summary = simulate_summary(tmp_path, capsys, w, WAN, SERVER, DRIVER)
+        assert (summary["execution_ms"], summary["retrieval_ms"]) == ("0.0", "0.0")
 
     def test_rejects_out_of_range_jitter(self):
         with pytest.raises(ValueError):
@@ -351,29 +379,31 @@ class TestSamplesFromTripLog:
 
 
 class TestStageBreakdown:
-    def test_single_trip_is_execution_heavy(self):
+    """The execution_ms and retrieval_ms lines that `rowfetch simulate` prints."""
+
+    def test_single_trip_is_execution_heavy(self, tmp_path, capsys):
         w = WorkloadSpec(5, (50, 4000, 8, 16))
         server = ServerSpec(hard_parse=300.0, soft_parse=3.0, per_record_search=0.05,
                             server_cache_size=100, disk_access_per_refill=12.0)
-        trace = simulate_fetch(w, NetworkSpec.uniform(1, 600.0, 150.0, 0.9), server, DRIVER)
-        execution, retrieval = stage_breakdown(trace)
-        assert len(trace.trip_log) == 1
+        summary = simulate_summary(tmp_path, capsys, w, NetworkSpec.uniform(1, 600.0, 150.0, 0.9),
+                                   server, DRIVER)
+        execution, retrieval = stages(summary)
+        assert summary["trips"] == "1"
         assert execution > retrieval
 
-    def test_many_trips_are_retrieval_heavy(self):
-        trace = simulate_fetch(WIDE, WAN, SERVER, DRIVER)
-        execution, retrieval = stage_breakdown(trace)
+    def test_many_trips_are_retrieval_heavy(self, tmp_path, capsys):
+        execution, retrieval = stages(simulate_summary(tmp_path, capsys, WIDE, WAN, SERVER,
+                                                       DRIVER))
         assert retrieval > 100 * execution
 
-    def test_split_sums_to_total(self):
-        trace = simulate_fetch(WIDE, WAN, SERVER, DRIVER)
-        execution, retrieval = stage_breakdown(trace)
-        assert execution + retrieval == pytest.approx(trace.total_elapsed_ms)
+    def test_split_sums_to_total(self, tmp_path, capsys):
+        summary = simulate_summary(tmp_path, capsys, WIDE, WAN, SERVER, DRIVER)
+        execution, retrieval = stages(summary)
+        assert execution + retrieval == pytest.approx(float(summary["total_elapsed_ms"]))
 
-    def test_execution_is_first_trip_engine_share(self):
-        trace = simulate_fetch(WIDE, WAN, SERVER, DRIVER)
-        first = trace.trip_log[0]
-        execution, _ = stage_breakdown(trace)
+    def test_execution_is_first_trip_engine_share(self, tmp_path, capsys):
+        first = simulate_fetch(WIDE, WAN, SERVER, DRIVER).trip_log[0]
+        execution, _ = stages(simulate_summary(tmp_path, capsys, WIDE, WAN, SERVER, DRIVER))
         assert execution == first.request_ms + first.execute_ms
 
 

@@ -283,22 +283,37 @@ class TestTraceRule:
         assert (report.inferred_prefetch, report.avg_trip_time) == (10, 400.0)
         assert pairs.reads == 1
 
-    def test_analyze_trace_checks_the_rule_once(self, monkeypatch):
+    @staticmethod
+    def count_checks(monkeypatch) -> list[tuple[int, int]]:
+        """The (rows, ms) column lengths of every trace-rule check from now on."""
         checks = []
         check = trace_analysis._check_trace_rule
 
-        def counted(samples):
-            checks.append(len(samples))
-            check(samples)
+        def counted(rows, ms):
+            checks.append((len(rows), len(ms)))
+            check(rows, ms)
 
         monkeypatch.setattr(trace_analysis, "_check_trace_rule", counted)
+        return checks
+
+    def test_analyze_trace_checks_the_rule_once(self, monkeypatch):
+        checks = self.count_checks(monkeypatch)
         samples = np.array(synthetic(502, {row: 400.0 for row in range(11, 503, 10)}))
         assert analyze_trace(samples).inferred_prefetch == 10
-        assert checks == [502]
+        assert checks == [(502, 502)]
         # Called alone, each step checks its trace itself.
         detect_peaks(samples)
         avg_trip_time_from_trace(samples, [11])
-        assert checks == [502] * 3
+        assert checks == [(502, 502)] * 3
+
+    def test_reader_checks_the_rule_once(self, tmp_path, monkeypatch):
+        # Three blocks of rows, all checked by one call on the parsed table.
+        n = 2 * _BLOCK_ROWS + 1
+        trace = simulated_trace(n, 10)
+        write_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "trips.csv")
+        checks = self.count_checks(monkeypatch)
+        assert np.array_equal(read_trace_samples(tmp_path / "trace.csv"), trace.samples)
+        assert checks == [(n, n)]
 
     @pytest.mark.parametrize("samples", [
         [(1, 0.0), (3, 400.0), (4, 0.0)],
