@@ -53,7 +53,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core_model import FieldError, InputError, _integer, replace, round_trips, sweep_curve
+from .core_model import (FieldError, InputError, _integer, _number, replace, round_trips,
+                         sweep_curve)
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -66,6 +67,9 @@ EXIT_MODEL = 4
 # The flag behind each field a FieldError can name; any other field is the model's.
 _FLAG_OF = {"jitter": "--jitter", "median_ratio": "--median-ratio",
             "sigma_k": "--sigma-k", "max_bytes": "--budget-bytes", "zero_run": "--zero-run"}
+# The numeric flags, read with the readers' number grammar rather than by argparse.
+_NUMBER_FLAGS = {"--seed": _integer, "--jitter": _number, "--budget-bytes": _integer,
+                 "--zero-run": _integer, "--median-ratio": _number, "--sigma-k": _number}
 
 
 # bench/probe.py times config loads by patching this name, so the commands
@@ -198,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     # The inputs of a run: simulate and sweep share them.
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("config", help="config file path or bundled preset name")
-    run.add_argument("--seed", type=int, help="override run.seed")
-    run.add_argument("--jitter", type=float, help="override run.jitter")
+    run.add_argument("--seed", help="override run.seed")
+    run.add_argument("--jitter", help="override run.jitter")
 
     p = sub.add_parser("simulate", parents=[run],
                        help="simulate one fetch and write trace CSVs")
@@ -210,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="peak report for a latency trace CSV")
     p.add_argument("trace", help="row_index,elapsed_ms CSV path")
-    p.add_argument("--median-ratio", type=float, default=10.0,
+    p.add_argument("--median-ratio", default=10.0,
                    help="peak threshold as a multiple of the trace median")
-    p.add_argument("--sigma-k", type=float, default=3.0,
+    p.add_argument("--sigma-k", default=3.0,
                    help="peak threshold in standard deviations above the mean")
     p.set_defaults(fn=cmd_analyze)
 
@@ -229,19 +233,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="tuned prefetch size under a memory budget")
     p.add_argument("config", help="config file path or bundled preset name")
-    p.add_argument("--budget-bytes", type=int, required=True,
+    p.add_argument("--budget-bytes", required=True,
                    help="client prefetch cache ceiling in bytes")
     # tuner.DEFAULT_ZERO_RUN, written out so that building the parser loads no tuner.
-    p.add_argument("--zero-run", type=int, default=50,
+    p.add_argument("--zero-run", default=50,
                    help="sizes of sustained zero trip decrease marking the threshold")
     p.set_defaults(fn=cmd_recommend)
     return parser
+
+
+def _parse_numbers(args) -> None:
+    """Replace each numeric flag's text by its value; a refused one is an InputError."""
+    for flag, parse in _NUMBER_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        text = getattr(args, dest, None)
+        if isinstance(text, str):  # not a default, and not absent
+            try:
+                setattr(args, dest, parse(text))
+            except ValueError:
+                expected = "an integer" if parse is _integer else "a number"
+                raise InputError(f"{flag}: expected {expected}, got {text!r}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_numbers(args)
         return args.fn(args)
     except FieldError as exc:
         flag = _FLAG_OF.get(exc.field)

@@ -29,15 +29,16 @@ rule holds for every trace, read or in memory: row indices are exactly
 1..n and elapsed times are finite, so row r sits at position r - 1 and
 peaks are found and read by position.  An empty trace has no peaks.
 One function checks the rule, for the reader and once for all of
-analyze_trace's steps, a fixed block of rows at a time, so analysis holds
-the reader's 16 bytes per row plus O(peaks) data and 1-byte masks; the
-statistical rule adds one n-length float64 copy, in which the stdev and
-then the median are taken; the median by partitioning that copy, as
-np.median does, but without its NaN check and so without numpy.ma.
-The median, mean and population stdev are computed in float64, on the
-values scaled by the power of two that brings the largest into [0.5, 1); only
-the mean over the peak rows (avg_trip_time) is exact: the exact sum divided
-by the count with one rounding, bit for bit what statistics.mean returns.
+analyze_trace's steps.  It and the statistical rule take a fixed block of
+rows at a time, so analysis holds the reader's 16 bytes per row plus
+O(peaks) data and 1-byte masks.  That rule's statistics are taken on the
+values scaled by the power of two that brings the largest into [0.5, 1):
+the mean and population stdev add each block's pairwise numpy sum by
+math.fsum, which up to 65,536 rows is numpy's whole-trace sum, and the
+median is np.median's bit for bit, by radix selection on the values'
+order-preserving uint64 keys.  Only the mean over the peak rows
+(avg_trip_time) is exact: the exact sum divided by the count with one
+rounding, bit for bit what statistics.mean returns.
 """
 
 from __future__ import annotations
@@ -69,9 +70,13 @@ class PeakReport(Record):
     confidence: float
 
 
-# Rows per block of the trace-rule check, whose temporaries stay this size.
+# Rows per block of the trace-rule check and the statistical rule, whose
+# temporaries stay this size.
 _BLOCK_ROWS = 1 << 16
 _TRACE_RULE = "trace rows must be numbered 1..n with finite elapsed_ms"
+# The median's radix selection: 16-bit digits, and the int64 sign bit.
+_DIGITS = 1 << 16
+_SIGN = np.int64(-(2**63))
 
 
 class _Checked(np.ndarray):
@@ -135,43 +140,98 @@ def _above_threshold(values: np.ndarray, median_ratio: float, sigma_k: float) ->
     """Mask of the values above max(median_ratio * median, mean + sigma_k * stdev).
 
     The statistics are taken on the values scaled exactly by the power of two
-    that brings the largest magnitude into [0.5, 1), so none overflows.  They
-    all work in one scaled copy, refilled after the stdev and the median.
+    that brings the largest magnitude into [0.5, 1), so none overflows.  Every
+    pass scales _BLOCK_ROWS values at a time into one buffer, so the mask is
+    the only n-length allocation.
     """
     exponent = -np.frexp(max(values.max(), -values.min()))[1]
-    scaled = np.ldexp(values, exponent)
-    mean = scaled.mean()
-    spread = mean + sigma_k * _std_in_place(scaled, mean)
-    np.ldexp(values, exponent, out=scaled)
-    median = _median_in_place(scaled)
-    np.ldexp(values, exponent, out=scaled)  # undo the median's partition
-    return scaled > max(median_ratio * median, spread)
+    buf = np.empty(min(len(values), _BLOCK_ROWS))
+    mean, std = _mean_and_std(values, exponent, buf)
+    threshold = max(median_ratio * _median(values, exponent, buf), mean + sigma_k * std)
+    mask = np.empty(len(values), dtype=bool)
+    for lo, block in _scaled_blocks(values, exponent, buf):
+        np.greater(block, threshold, out=mask[lo:lo + len(block)])
+    return mask
 
 
-def _std_in_place(x: np.ndarray, mean: np.floating) -> np.floating:
-    """x.std() bit for bit, given mean = x.mean(), overwriting x.
+def _scaled_blocks(values: np.ndarray, exponent: int, buf: np.ndarray):
+    """Yield (start, block) for each _BLOCK_ROWS block of the scaled values, in buf."""
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        block = values[lo:lo + _BLOCK_ROWS]
+        yield lo, np.ldexp(block, exponent, out=buf[:len(block)])
 
-    These are numpy's own steps for the population stdev (_var): subtract
-    the mean, square, add.reduce's pairwise sum, divide by n, square root;
-    only the n-length temporary is x itself.
+
+def _mean_and_std(values: np.ndarray, exponent: int, buf: np.ndarray) -> tuple[float, float]:
+    """Mean and population stdev of the scaled values.
+
+    Each block is summed by numpy's pairwise np.add.reduce, and the block
+    sums are added exactly by math.fsum.
     """
-    np.subtract(x, mean, out=x)
-    np.square(x, out=x)
-    return np.sqrt(np.add.reduce(x) / len(x))
+    sums = [np.add.reduce(block) for _, block in _scaled_blocks(values, exponent, buf)]
+    mean = math.fsum(sums) / len(values)
+    squares = []
+    for _, block in _scaled_blocks(values, exponent, buf):
+        np.subtract(block, mean, out=block)
+        squares.append(np.add.reduce(np.square(block, out=block)))
+    return mean, math.sqrt(math.fsum(squares) / len(values))
 
 
-def _median_in_place(x: np.ndarray) -> np.floating:
-    """np.median(x) bit for bit, for a non-empty x without NaNs, partitioning x.
+def _key_blocks(values: np.ndarray, exponent: int, buf: np.ndarray):
+    """Yield the scaled values' order-preserving uint64 keys, a block at a time, in buf."""
+    for _, block in _scaled_blocks(values, exponent, buf):
+        bits = block.view(np.int64)
+        # Flipping every bit of a negative float64 and the sign bit of any other
+        # orders the bits as unsigned integers, with -0.0 just below 0.0.
+        np.bitwise_xor(bits, ~_SIGN, out=bits, where=bits < 0)
+        np.bitwise_xor(bits, _SIGN, out=bits)
+        yield bits.view(np.uint64)
 
-    These are numpy's own steps (_median): partition x about its middle
-    one or two positions, then take the mean of those entries.  Only
-    np.median's NaN check is left out, which the trace rule makes moot
-    and which would import numpy.ma.
+
+def _median(values: np.ndarray, exponent: int, buf: np.ndarray) -> np.floating:
+    """np.median(np.ldexp(values, exponent)) bit for bit, for values without NaNs."""
+    n = len(values)
+    ranks = sorted({(n - 1) // 2, n // 2})
+    keys = []
+    while len(keys) < len(ranks):  # twice only when the middle two lie in two buckets
+        keys += _select(values, exponent, buf, ranks[len(keys):])
+    bits = np.array(keys, dtype=np.uint64).view(np.int64)
+    # The keys' float64s, averaged as np.median averages its middle one or two.
+    return (bits ^ (~(bits >> 63) | _SIGN)).view(np.float64).mean()
+
+
+def _select(values: np.ndarray, exponent: int, buf: np.ndarray, ranks: list[int]) -> list[int]:
+    """The keys at those of the sorted ranks that share a radix bucket with the first.
+
+    A histogram of the keys' top 16 bits finds the bucket that holds
+    ranks[0], then one of its next 16 bits, until at most _BLOCK_ROWS keys
+    are left to collect and partition, or the bucket is one whole key.
     """
-    half = len(x) // 2
-    kth = (half - 1, half) if len(x) % 2 == 0 else (half,)
-    x.partition(kth)
-    return x[kth[0]:half + 1].mean()
+    low = 0  # the bucket's first key
+    start = 0  # the keys below the bucket
+    count = len(values)  # the keys in it
+    shift = 48  # the bucket's keys agree above bit shift + 16
+    while count > _BLOCK_ROWS and shift >= 0:
+        histogram = np.zeros(_DIGITS + 1, dtype=np.int64)
+        for block in _key_blocks(values, exponent, buf):
+            np.subtract(block, low, out=block)  # the bucket's keys now start at 0
+            np.right_shift(block, shift, out=block)
+            np.minimum(block, _DIGITS, out=block)  # a key outside the bucket: the last bin
+            histogram += np.bincount(block.view(np.int64), minlength=_DIGITS + 1)
+        digit = int(np.searchsorted(np.cumsum(histogram), ranks[0] - start, side="right"))
+        start += int(histogram[:digit].sum())
+        count = int(histogram[digit])
+        low += digit << shift
+        shift -= 16
+    inside = [rank - start for rank in ranks if rank < start + count]
+    if count > _BLOCK_ROWS:  # shift < 0: every key in the bucket is low
+        return [low] * len(inside)
+    pieces = []
+    for block in _key_blocks(values, exponent, buf):
+        np.subtract(block, low, out=block)
+        pieces.append(block[block <= (1 << (shift + 16)) - 1])
+    bucket = np.concatenate(pieces)
+    bucket.partition(inside)
+    return [low + key for key in bucket[inside].tolist()]
 
 
 def infer_effective_prefetch(peaks: Iterable[int]) -> PeakReport:

@@ -1001,6 +1001,28 @@ class TestConfigErrors:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
 
+    # argparse's int() and float() read "1_0" and "٣"; the readers refuse them.
+    @pytest.mark.parametrize("value", ["1_0", "٣", "abc"],
+                             ids=["underscore", "arabic_indic", "letters"])
+    @pytest.mark.parametrize("flag", ["--seed", "--jitter", "--budget-bytes", "--zero-run",
+                                      "--median-ratio", "--sigma-k"])
+    def test_numeric_flags_follow_the_readers_number_grammar(self, tmp_path, capsys, flag,
+                                                             value):
+        trace = tmp_path / "t.csv"
+        trace.write_text("row_index,elapsed_ms\n1,0.5\n2,400\n")
+        argv = {"--seed": ["simulate", "baseline.cfg", "--out-trace", str(tmp_path / "o.csv")],
+                "--jitter": ["simulate", "baseline.cfg", "--out-trace", str(tmp_path / "o.csv")],
+                "--budget-bytes": ["recommend", "baseline.cfg"],
+                "--zero-run": ["recommend", "baseline.cfg", "--budget-bytes", "1000000"],
+                "--median-ratio": ["analyze", str(trace)],
+                "--sigma-k": ["analyze", str(trace)]}[flag]
+        assert cli.main([*argv, flag, value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        expected = "an integer" if flag in ("--seed", "--budget-bytes", "--zero-run") else "a number"
+        assert captured.err == f"error: {flag}: expected {expected}, got {value!r}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("line, key", [
         (b"workload.total_records=5\xff", "workload.total_records"),
         (b"workload.total\xffrecords=5", "workload.total\ufffdrecords"),

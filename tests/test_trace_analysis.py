@@ -16,6 +16,7 @@ import warnings
 from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ from rowfetch.trace_analysis import (
     PeakReport,
     TraceFormatError,
     _above_threshold,
-    _median_in_place,
-    _std_in_place,
+    _mean_and_std,
+    _median,
     analyze_trace,
     avg_trip_time_from_trace,
     detect_peaks,
@@ -213,29 +214,77 @@ class TestDetectPeaks:
         assert np.array_equal(_above_threshold(column, median_ratio, sigma_k), scaled > expected)
         assert samples.tobytes() == before
 
+    @example([5e-324, 1e-320, -5e-324, 0.0], 10.0, 3.0, 1)  # subnormals only
+    @example([DBL_MAX, -DBL_MAX, 1.0], 1.0, 0.0, 2)
+    @example([5.9, 1.3, 9.2, 4.7, 0.5], 0.0, 3.0, 2)
+    @given(VALUES,
+           st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 100.0),
+           st.sampled_from([0.0, 3.0]) | st.floats(0.0, 10.0),
+           st.integers(1, 40))
+    def test_threshold_sums_per_block(self, values, median_ratio, sigma_k, block):
+        # With blocks of 1..40 rows, the mean and stdev are the block sums
+        # added by math.fsum, and the median is still np.median's.
+        samples = np.column_stack((np.arange(1.0, len(values) + 1), values))
+        before = samples.tobytes()
+        column = samples[:, 1]
+        scaled = np.ldexp(column, -np.frexp(max(column.max(), -column.min()))[1])
+        blocks = [scaled[lo:lo + block] for lo in range(0, len(scaled), block)]
+        mean = math.fsum(np.add.reduce(b) for b in blocks) / len(scaled)
+        std = math.sqrt(math.fsum(np.add.reduce(np.square(b - mean)) for b in blocks)
+                        / len(scaled))
+        expected = max(median_ratio * np.median(scaled), mean + sigma_k * std)
+        with mock.patch.object(trace_analysis, "_BLOCK_ROWS", block):
+            mask = _above_threshold(column, median_ratio, sigma_k)
+        assert np.array_equal(mask, scaled > expected)
+        assert samples.tobytes() == before
+
     @example([5e-324, 1e-320, -5e-324, 0.0])  # subnormals only
     @example([DBL_MAX, -DBL_MAX, 1.0])
     @example([-DBL_MAX, 2.5, -1e-300])  # mixed signs
     @example([-7.5] * 5)  # all equal
     @given(VALUES)
-    def test_in_place_stdev_is_numpys_bit_for_bit(self, values):
+    def test_one_blocks_mean_and_stdev_are_numpys_bit_for_bit(self, values):
         column = np.array(values)
-        scaled = np.ldexp(column, -np.frexp(max(column.max(), -column.min()))[1])
-        expected = scaled.std()
-        got = _std_in_place(scaled.copy(), scaled.mean())
+        exponent = -np.frexp(max(column.max(), -column.min()))[1]
+        scaled = np.ldexp(column, exponent)
+        mean, std = _mean_and_std(column, exponent, np.empty(len(column)))
+        assert (mean.hex(), std.hex()) == (float(scaled.mean()).hex(), float(scaled.std()).hex())
+
+    @example([7.25], _BLOCK_ROWS)  # n = 1
+    @example([DBL_MAX, DBL_MAX], 1)  # n = 2, and the middle values' sum overflows
+    @example([5e-324, 1e-320, -5e-324], 2)  # subnormals only
+    @example([-DBL_MAX, DBL_MAX, 0.0, -0.0], 1)
+    @example([0.0, -0.0, -0.0, 0.0, 0.0], 2)  # which zero lands in the middle
+    @example([0.0, -0.0, -0.0, 0.0, 0.0], _BLOCK_ROWS)
+    @given(VALUES, st.integers(1, 40) | st.just(_BLOCK_ROWS))
+    def test_radix_median_is_numpys_bit_for_bit(self, values, block):
+        # Blocks of 1..40 rows run the multi-block collection, the middle
+        # ranks in two buckets, and the refinement of a bucket by its next bits.
+        with np.errstate(over="ignore"), mock.patch.object(trace_analysis, "_BLOCK_ROWS", block):
+            expected = np.median(values)
+            got = _median(np.array(values), 0, np.empty(block))
         assert float(got).hex() == float(expected).hex()
 
-    @example([7.25])  # n = 1
-    @example([DBL_MAX, DBL_MAX])  # n = 2, and the middle values' sum overflows
-    @example([5e-324, 1e-320, -5e-324])  # subnormals only
-    @example([-DBL_MAX, DBL_MAX, 0.0, -0.0])
-    @example([0.0, -0.0, -0.0, 0.0, 0.0])  # which zero lands in the middle
-    @given(VALUES)
-    def test_partition_median_is_numpys_bit_for_bit(self, values):
-        with np.errstate(over="ignore"):
-            expected = np.median(values)
-            got = _median_in_place(np.array(values))
-        assert float(got).hex() == float(expected).hex()
+    @pytest.mark.parametrize("shape", ["measured", "ties"])
+    def test_statistical_rule_memory_is_bounded(self, shape):
+        # 1e6 rows: the rule's one n-length allocation is its 1-byte mask,
+        # beside buffers of _BLOCK_ROWS values.  The peak rows returned, as
+        # an int64 array and then a list of ints, come on top.
+        rows = np.arange(1.0, 1_000_001)
+        if shape == "measured":  # a positive floor and a trip row every 37, as measured
+            values = np.where(rows % 37 == 0, 400.0, 0.002 + rows % 1000 * 1.8e-5)
+        else:  # keys alike in their top 48 bits, so every 16-bit level is refined
+            values = 1.0 + rows % 65536 * 2.0**-52
+        samples = np.column_stack((rows, values))
+        tracemalloc.start()
+        try:
+            peaks = detect_peaks(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks == (list(range(37, 1_000_001, 37)) if shape == "measured" else [])
+        rows = 8 * len(peaks) + sys.getsizeof(peaks) + sum(map(sys.getsizeof, peaks))
+        assert peak < 2 * 2**20 + rows
 
     def test_threshold_knobs_are_live(self):
         # One modest bump over a noisy floor: invisible at the default
