@@ -132,6 +132,8 @@ def parse_config(text: str, seed: int | None = None, jitter: float | None = None
         raise ConfigError(hops_key, "required key missing")
     if count < 0:
         raise ConfigError(hops_key, "must be >= 0")
+    if count > 255:  # each hop is built and priced, so the count bounds the work
+        raise ConfigError(hops_key, "must be <= 255, the largest IPv4 TTL and IPv6 hop limit")
     per_hop = specs["hop"]
     for field, values in per_hop.items():
         if len(values) == 1:

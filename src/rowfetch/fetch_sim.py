@@ -20,9 +20,9 @@ so the same seed always reproduces the same trace bit for bit.
 
 A trace is stored as its trip columns alone.  Only trips - 1 of its n rows
 are nonzero, so the per-row samples are rebuilt from the columns on request
-and a simulation costs O(trips), not O(rows).  The trace CSV is written in
-blocks of rows, each built as one byte array from the row numbers and the
-repr of its few nonzero values.
+and a simulation costs O(trips), not O(rows).  Both CSVs are written in
+blocks of rows, each block by one %-format of its rows' line templates,
+so no row is formatted on its own.
 
 Without jitter a fetch's total needs no trace: jitter_free_total prices its
 at most four kinds of trip once each and sums them exactly in Python ints,
@@ -36,6 +36,7 @@ so specs, configs, cost_constants and jitter_free_total load without it.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 from .core_model import (TRACE_HEADER, CostConstants, Record, WorkloadSpec, checked_total,
@@ -128,10 +129,10 @@ class TripRecord(Record):
                 + self.transport_ms + self.convert_ms)
 
 
-# Trip columns become Python numbers this many trips at a time, and the
-# trace CSV is built as bytes this many rows at a time, so writing a trace
-# or its trip log holds O(_BLOCK) objects whatever n and f are.
-_BLOCK = 1 << 13
+# Both CSVs are formatted this many rows at a time, so writing a trace or
+# its trip log holds O(_BLOCK) objects whatever n and f are.  At 1 << 13 a
+# trip block's text and Python values took about 3 MiB.
+_BLOCK = 1 << 12
 
 
 class LatencyTrace(Record):
@@ -362,50 +363,45 @@ def cost_constants(workload: WorkloadSpec, net: NetworkSpec, server: ServerSpec,
 TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 
 
-def _trace_blocks(trace: LatencyTrace) -> Iterator[np.ndarray]:
-    """The trace CSV body as uint8 arrays of at most _BLOCK rows each.
+def _trace_blocks(trace: LatencyTrace) -> Iterator[str]:
+    """The trace CSV body as text of at most _BLOCK rows each.
 
-    Every row of block [lo, hi) is first laid down in a fixed-width slot:
-    its number right-aligned in as many bytes as n has digits, ",0.0" in a
-    24-byte value field (no float64 repr is longer), then "\\r\\n", every
-    unused byte NUL.  The block's first rows, found by searchsorted, get the
-    repr of the value _first_rows shows as their value field, and dropping
-    the NULs leaves the CSV text, so no row is formatted on its own.
+    Each row's line template is "%d,0.0\\r\\n", or on a batch's first row
+    (found by searchsorted) the repr of its _first_rows value in place of
+    0.0; a block's joined templates are formatted once with its row numbers.
     """
     import numpy as np
 
     rows, shown = trace._first_rows()
     n = trace.total_records
-    digits = len(str(n))
     for lo in range(1, n + 1, _BLOCK):
-        index = np.arange(lo, min(lo + _BLOCK, n + 1))
-        a, b = np.searchsorted(rows, (lo, index[-1] + 1))
-        line = np.zeros((len(index), digits + 27), dtype=np.uint8)
-        for j in range(len(str(index[-1]))):
-            has = slice(max(10**j - lo, 0), None)  # rows with more than j digits
-            line[has, digits - 1 - j] = index[has] // 10**j % 10 + ord("0")
-        line[:, digits:digits + 4] = np.frombuffer(b",0.0", dtype=np.uint8)
-        line[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-        texts = np.array(list(map(repr, shown[a:b].tolist())), dtype="S24")
-        line[rows[a:b] - lo, digits + 1:digits + 25] = texts.view(np.uint8).reshape(-1, 24)
-        yield line[line != 0]
+        hi = min(lo + _BLOCK, n + 1)
+        a, b = np.searchsorted(rows, (lo, hi))
+        lines = ["%d,0.0\r\n"] * (hi - lo)
+        for row, ms in zip(rows[a:b].tolist(), shown[a:b].tolist()):
+            lines[row - lo] = f"%d,{ms!r}\r\n"
+        yield "".join(lines) % tuple(range(lo, hi))
+
+
+def _trip_blocks(trace: LatencyTrace) -> Iterator[str]:
+    """The trip CSV body as text of at most _BLOCK trips each, one %-format per block."""
+    for lo in range(0, len(trace.records), _BLOCK):
+        records = trace.records[lo:lo + _BLOCK].tolist()
+        trips = zip(range(lo + 1, lo + _BLOCK + 1), records,
+                    *trace.components[lo:lo + _BLOCK].T.tolist())
+        yield ("%d,%d,%r,%r,%r,%r,%r\r\n" * len(records)) % tuple(chain.from_iterable(trips))
 
 
 def write_trace_csv(trace: LatencyTrace, samples_path, trips_path) -> None:
     """Write the per-row samples and the trip component log as CSV.
 
     Both files have a header line, comma-separated fields and \\r\\n line
-    ends, and write each float as its repr, so values round-trip.  The
-    samples are built as bytes from the trip columns _BLOCK rows at a
-    time, never held in memory whole.
+    ends, and write each float as its repr, so values round-trip.  Both
+    are formatted from the trip columns _BLOCK rows at a time, never held
+    in memory whole.
     """
-    with open(samples_path, "wb") as fh:
-        fh.write(",".join(TRACE_HEADER).encode("ascii") + b"\r\n")
-        fh.writelines(_trace_blocks(trace))
-    with open(trips_path, "w", newline="") as fh:
-        fh.write(",".join(TRIP_HEADER) + "\r\n")
-        fh.writelines("%d,%d,%r,%r,%r,%r,%r\r\n" % trip
-                      for lo in range(0, len(trace.records), _BLOCK)
-                      for trip in zip(range(lo + 1, lo + _BLOCK + 1),
-                                      trace.records[lo:lo + _BLOCK].tolist(),
-                                      *trace.components[lo:lo + _BLOCK].T.tolist()))
+    for path, header, blocks in ((samples_path, TRACE_HEADER, _trace_blocks),
+                                 (trips_path, TRIP_HEADER, _trip_blocks)):
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(blocks(trace))

@@ -127,7 +127,7 @@ def detect_peaks(
     values = _sample_array(samples)[:, 1]
     if len(values) == 0 or values.max() == values.min():
         return []
-    if np.count_nonzero(values == 0.0) > len(values) / 2:
+    if len(values) - np.count_nonzero(values) > len(values) / 2:
         # Degenerate statistics: the cache-hit floor dominates, so any
         # row that cost anything at all belongs to a trip.
         peaks = values > 0.0

@@ -980,6 +980,16 @@ class TestConfigErrors:
         assert rc == EXIT_INPUT
         assert "network.bandwidth_bytes_per_ms" in capsys.readouterr().err
 
+    def test_255_hops_load(self, tmp_path):
+        cfg = load_config(config_file(tmp_path, {"network.hops": "255"}))
+        assert len(cfg.network.hops) == 255
+
+    def test_256_hops_exit_input_naming_the_key(self, tmp_path, capsys):
+        rc, _, _ = simulate(tmp_path, config_file(tmp_path, {"network.hops": "256"}))
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: network.hops: must be <= 255, the largest"
+                                           " IPv4 TTL and IPv6 hop limit\n")
+
     @pytest.mark.parametrize("key", sorted(config._KEYS))
     def test_value_outside_its_domain_names_its_key(self, tmp_path, capsys, key):
         parse = config._KEYS[key][2]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import json
 import math
 import random
 import sys
@@ -14,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rowfetch import cli, config, fetch_sim
 from rowfetch.core_model import (FetchPlan, FieldError, WorkloadSpec, quantized_cost, replace,
@@ -74,12 +77,8 @@ def assert_matches_reference(tmp_path, n, f, jitter):
     assert (tmp_path / "t_trips.csv").read_bytes() == (tmp_path / "r_trips.csv").read_bytes()
 
 
-def simulate_summary(tmp_path, capsys, workload, net, server, driver) -> dict[str, str]:
-    """The `name: value` lines that `rowfetch simulate` prints for these specs.
-
-    The specs are written to a config file under tmp_path, which must load
-    back as the same specs, and simulated by cli.main in-process.
-    """
+def write_specs(directory: Path, workload, net, server, driver) -> str:
+    """A config file under directory that loads back as exactly these specs."""
     pairs = {"workload.total_records": workload.total_records,
              "workload.field_bytes": ",".join(map(str, workload.field_byte_sizes)),
              "network.hops": len(net.hops)}
@@ -89,11 +88,18 @@ def simulate_summary(tmp_path, capsys, workload, net, server, driver) -> dict[st
             pairs[key] = ",".join(repr(getattr(hop, field)) for hop in net.hops)
         elif spec in specs and getattr(specs[spec], field) is not None:
             pairs[key] = repr(getattr(specs[spec], field))
-    path = tmp_path / "specs.cfg"
+    path = directory / "specs.cfg"
     path.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()))
     cfg = config.load_config(str(path))
     assert (cfg.workload, cfg.network, cfg.server, cfg.driver) == (workload, net, server, driver)
-    assert cli.main(["simulate", str(path), "--out-trace", str(tmp_path / "t.csv")]) == 0
+    return str(path)
+
+
+def simulate_summary(tmp_path, capsys, workload, net, server, driver) -> dict[str, str]:
+    """The `name: value` lines that `rowfetch simulate` prints for these specs,
+    simulated by cli.main in-process from a config written by write_specs."""
+    path = write_specs(tmp_path, workload, net, server, driver)
+    assert cli.main(["simulate", path, "--out-trace", str(tmp_path / "t.csv")]) == 0
     return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
 
 
@@ -605,3 +611,42 @@ class TestSimulatorProperties:
                                net, server, driver, seed=seed, jitter=jitter).trip_log
                 for extra in (extra_a, extra_b)]
         assert logs[0][:k] == logs[1][:k]
+
+
+def run_cli(*argv: str) -> str:
+    """What cli.main(argv) prints, in-process; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+class TestDrillDownChain:
+    @settings(deadline=None)
+    @given(scenarios(prefetch=st.integers(3, 100), records=st.integers(7, 600)))
+    def test_commands_agree_on_a_jitter_free_fetch(self, scenario):
+        # At jitter 0, f >= 3 puts the zero floor under most rows, and a
+        # request overhead above 0 makes every trip after the execute call
+        # a peak on its batch's first row, so the chain must close exactly.
+        workload, net, server, driver = scenario
+        f = effective_prefetch(driver)
+        trips = round_trips(workload.total_records, f)
+        assume(trips >= 3 and driver.request_overhead > 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_specs(Path(tmp), *scenario)
+            trace, trip_log, sweep = (str(Path(tmp, name)) for name in ("t.csv", "t_trips.csv",
+                                                                        "s.tsv"))
+            summary = dict(line.split(": ", 1) for line in run_cli(
+                "simulate", cfg, "--out-trace", trace, "--out-trips", trip_log).splitlines())
+            report = json.loads(run_cli("analyze", trace))
+            run_cli("sweep", cfg, "--mode", "sim", "--f-range", f"{f}:{f}", "--out", sweep)
+            with open(trip_log, newline="") as fh:
+                later_trips = list(csv.reader(fh))[2:]  # past the header and trip 1
+            swept = Path(sweep).read_text().splitlines()[1].split("\t")
+        assert (report["inferred_prefetch"], report["confidence"]) == (f, 1.0)
+        # TripRecord.total_ms's order, then the exact mean rounded once.
+        totals = [r + e + a + t + c for r, e, a, t, c in (map(float, row[2:])
+                                                           for row in later_trips)]
+        assert len(totals) == trips - 1
+        assert report["avg_trip_time"] == float(sum(map(Fraction, totals)) / len(totals))
+        assert swept[:2] == [str(f), summary["total_elapsed_ms"]]

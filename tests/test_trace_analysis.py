@@ -128,6 +128,15 @@ class TestDetectPeaks:
         samples = synthetic(502, {row: 400.0 for row in range(11, 502, 10)})
         assert detect_peaks(samples) == list(range(11, 502, 10))
 
+    def test_negative_zero_floor_takes_the_zero_floor_rule(self):
+        # -0.0 == 0.0, so a floor of negative zeros is the cache-hit floor
+        # too: every row that cost anything is a peak, however small.  The
+        # statistical rule would keep only the two tall rows.
+        samples = synthetic(30, {5: 0.001, 15: 500.0, 25: 500.0}, floor=-0.0)
+        assert detect_peaks(samples) == [5, 15, 25]
+        column = np.array([ms for _, ms in samples])
+        assert np.flatnonzero(_above_threshold(column, 10.0, 3.0)).tolist() == [14, 24]
+
     def test_flat_trace_has_no_peaks(self):
         assert detect_peaks([(i, 250.0) for i in range(1, 100)]) == []
 
@@ -203,9 +212,9 @@ class TestDetectPeaks:
            st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 100.0),
            st.sampled_from([0.0, 3.0]) | st.floats(0.0, 10.0))
     def test_threshold_matches_the_copying_formula(self, values, median_ratio, sigma_k):
-        # The stdev and the median now work in the scaled copy, which is
-        # refilled after each.  The mask must be the old formula's, and the
-        # caller's column untouched.
+        # The statistics are taken block by block in one reused buffer, not
+        # in a scaled copy of the column.  The mask must be the copying
+        # formula's, and the caller's column untouched.
         samples = np.column_stack((np.arange(1.0, len(values) + 1), values))
         before = samples.tobytes()
         column = samples[:, 1]
