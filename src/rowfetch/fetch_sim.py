@@ -24,10 +24,11 @@ and a simulation costs O(trips), not O(rows).  Both CSVs are written in
 blocks of rows, each block by one %-format of its rows' line templates,
 so no row is formatted on its own.
 
-Without jitter a fetch's total needs no trace: jitter_free_total prices its
-at most four kinds of trip once each and sums them exactly in Python ints,
-in O(1) and bit for bit as simulate_fetch would, so a jitter-free sim-mode
-sweep imports no numpy; only a jittered one simulates each size.
+Without jitter every trip is one of the four kinds that _trip_kinds counts.
+simulate_fetch prices each kind once by _price_trip, and jitter_free_total
+sums the kinds' totals exactly in Python ints, in O(1) and bit for bit as
+simulate_fetch would, so a jitter-free sim-mode sweep imports no numpy;
+only a jittered one simulates each size.
 
 numpy is imported by the functions that build arrays, not by the module,
 so specs, configs, cost_constants and jitter_free_total load without it.
@@ -202,15 +203,14 @@ def effective_prefetch(driver: DriverSpec) -> int:
     return driver.default_prefetch
 
 
-def transport_time(byte_count, net: NetworkSpec):
+def transport_time(byte_count, net: NetworkSpec) -> float:
     """Time (ms) to move byte_count bytes across every hop in the chain.
 
     Each hop charges its base latency plus bytes over effective
     bandwidth, where availability scales the bandwidth down.  No hops
-    means no transport cost.  byte_count may also be a numpy array.
+    means no transport cost.
     """
-    negative = byte_count < 0
-    if negative.any() if hasattr(negative, "any") else negative:
+    if byte_count < 0:
         raise ValueError("byte_count must be >= 0")
     total = 0.0
     for hop in net.hops:
@@ -218,39 +218,50 @@ def transport_time(byte_count, net: NetworkSpec):
     return total
 
 
-def _price_trips(out, records, refills, first: bool, workload: WorkloadSpec,
-                 net: NetworkSpec, server: ServerSpec, driver: DriverSpec) -> None:
-    """Write the r, e, a, t, c ms of jitter-free trips into out[0]..out[4].
+def _price_trip(records: int, refills: int, first: bool, workload: WorkloadSpec,
+                net: NetworkSpec, server: ServerSpec, driver: DriverSpec) -> tuple:
+    """The r, e, a, t, c ms of one jitter-free trip.
 
-    Each trip moves records records and triggers refills disk refills;
-    first adds the hard parse.  records and refills are Python ints, with
-    out a list, or int64 columns, with out the (5, trips) transposed view
-    of their rows of the block.  Each component is stored as soon as it
-    is computed: holding the five trip-long temporaries at once made
-    simulate_fetch's block fill 2.6x slower at 1e5 trips.  simulate_fetch,
-    jitter_free_total and cost_constants all price trips here, so all
-    round every component alike.
+    The trip moves records records and triggers refills disk refills;
+    first adds the hard parse.  simulate_fetch, jitter_free_total and
+    cost_constants all price trips here, so all round every component
+    alike.
     """
-    out[0] = driver.request_overhead
-    out[1] = server.soft_parse + server.per_record_search * records
+    e = server.soft_parse + server.per_record_search * records
     if first:
-        out[1] += server.hard_parse
-    out[2] = refills * server.disk_access_per_refill
-    out[3] = transport_time(records * float(workload.record_bytes), net)
-    out[4] = records * float(len(workload.field_byte_sizes)) * driver.per_field_conversion
+        e += server.hard_parse
+    return (driver.request_overhead, e, refills * server.disk_access_per_refill,
+            transport_time(records * float(workload.record_bytes), net),
+            records * float(len(workload.field_byte_sizes)) * driver.per_field_conversion)
 
 
 def _trip_total(records: int, refills: int, first: bool, *specs) -> float:
     """One jitter-free trip's total ms, summed in TripRecord.total_ms's order."""
-    trip = [0.0] * 5
-    _price_trips(trip, records, refills, first, *specs)
-    r, e, a, t, c = trip
+    r, e, a, t, c = _price_trip(records, refills, first, *specs)
     return checked_total(r + e + a + t + c)
 
 
 def _refills(served, cache: int):
     """ceil(served / cache), the disk refills behind served records; an int or int64 column."""
     return -(-served // cache)
+
+
+def _trip_kinds(n: int, f: int, cache: int) -> list[tuple[int, int, bool, int]]:
+    """The four kinds of trip of a jitter-free fetch, as (records, refills, first, count):
+    the first trip, full trips triggering batch // cache refills, full trips
+    triggering one more, and the last trip.  A kind no trip is of has count
+    0, so an empty fetch is four kinds of count 0.
+    """
+    trips = round_trips(n, f)
+    batch = min(f, n)
+    before_last = batch * max(trips - 1, 1)  # records served before the last trip
+    middle = max(trips - 2, 0)
+    few = batch // cache
+    more = _refills(before_last, cache) - _refills(batch, cache) - few * middle
+    return [(batch, _refills(batch, cache), True, min(trips, 1)),
+            (batch, few, False, middle - more), (batch, few + 1, False, more),
+            (n - before_last, _refills(n, cache) - _refills(before_last, cache), False,
+             int(trips > 1))]
 
 
 def simulate_fetch(
@@ -278,17 +289,17 @@ def simulate_fetch(
     n = workload.total_records
     trips = round_trips(n, f)
     # Clamping both sizes to n changes no batch or refill count and keeps
-    # int64 products exact.  Byte and field counts are multiplied as floats,
-    # which round as Python's int products do and cannot overflow.
+    # the int64 columns exact.
     batch = min(f, n)
     cache = min(server.server_cache_size, max(n, 1))
+    prices = np.array([_price_trip(records, refills, first, workload, net, server, driver)
+                       for records, refills, first, _ in _trip_kinds(n, f, cache)])
     records = np.minimum(batch, n - batch * np.arange(trips))
-    refills = np.diff(_refills(np.cumsum(records), cache), prepend=0)  # per trip
-    block = np.empty((trips, 5))
+    # A full trip's refills are batch // cache or one more: kind 1 or 2.
+    kind = np.diff(_refills(np.cumsum(records), cache), prepend=0) + (1 - batch // cache)
+    kind[-1:], kind[:1] = 3, 0
+    block = prices[kind]
     with np.errstate(over="ignore"):  # checked_total below reports a cost past float64
-        for rows, first in ((slice(None, 1), True), (slice(1, None), False)):
-            _price_trips(block[rows].T, records[rows], refills[rows], first, workload, net,
-                         server, driver)
         if jitter:
             stream = np.random.Generator(np.random.Philox(key=seed % 2**128))
             block *= stream.uniform(1 - jitter, 1 + jitter, block.shape)
@@ -307,31 +318,15 @@ def jitter_free_total(workload: WorkloadSpec, net: NetworkSpec, server: ServerSp
                       driver: DriverSpec) -> float:
     """simulate_fetch(workload, net, server, driver).total_elapsed_ms, in O(1).
 
-    Without jitter every trip is one of at most four kinds: the first,
-    which also pays the hard parse; full trips triggering batch // cache
-    refills; full trips triggering one more; and the last.  Each kind's
-    total is priced once by _price_trips, in simulate_fetch's order, and
-    their dyadic_ints sum exactly, rounded once by int / int.  math.fsum
-    rounds its exact sum correctly too, so the two totals are the same
-    float, and both raise checked_total's error when the sum leaves
-    float64.  Uses no numpy.
+    Each of _trip_kinds' kinds that some trip is of has its total priced
+    once by _trip_total, as simulate_fetch prices it, and the totals'
+    dyadic_ints, times their counts, sum exactly, rounded once by
+    int / int.  math.fsum rounds its exact sum correctly too, so the two
+    totals are the same float, and both raise checked_total's error when
+    the sum leaves float64.  Uses no numpy.
     """
-    f = effective_prefetch(driver)
-    n = workload.total_records
-    trips = round_trips(n, f)
-    if not trips:
-        return 0.0
-    batch = min(f, n)
-    cache = min(server.server_cache_size, n)
-    kinds = [(batch, _refills(batch, cache), True, 1)]  # (records, refills, first, count)
-    if trips > 1:
-        before_last = batch * (trips - 1)
-        middle = trips - 2
-        few = batch // cache  # a full trip triggers few or few + 1 refills
-        more = _refills(before_last, cache) - _refills(batch, cache) - few * middle
-        kinds += [(batch, few, False, middle - more), (batch, few + 1, False, more),
-                  (n - before_last, _refills(n, cache) - _refills(before_last, cache), False, 1)]
-    kinds = [kind for kind in kinds if kind[3]]  # a kind no trip is of is not priced
+    kinds = [kind for kind in _trip_kinds(workload.total_records, effective_prefetch(driver),
+                                          server.server_cache_size) if kind[3]]
     totals, scale = dyadic_ints([_trip_total(records, refills, first, workload, net, server,
                                              driver) for records, refills, first, _ in kinds])
     try:
@@ -344,7 +339,7 @@ def cost_constants(workload: WorkloadSpec, net: NetworkSpec, server: ServerSpec,
                    driver: DriverSpec) -> CostConstants:
     """The simulator's exact law a * ceil(N/f) + C, as model constants.
 
-    Both constants are trips priced by _price_trips, so the law and the
+    Both constants are trips priced by _price_trip, so the law and the
     simulator share one cost formula.  a, what every trip pays whatever
     its size, is a later trip that moves no record and triggers no
     refill.  C, what the whole fetch pays once, is one first trip that

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rowfetch import cli, config, fetch_sim
-from rowfetch.core_model import (FetchPlan, FieldError, WorkloadSpec, quantized_cost, replace,
-                                 round_trips)
+from rowfetch.core_model import (FetchPlan, FieldError, WorkloadSpec, dyadic_ints, quantized_cost,
+                                 replace, round_trips)
 from rowfetch.fetch_sim import (
     DriverSpec,
     HopSpec,
@@ -208,16 +208,26 @@ class TestSimulateFetch:
 
     def test_constants_are_priced_by_the_trip_formula(self, monkeypatch):
         # A second copy of the formula would not see a change to the first.
-        price = fetch_sim._price_trips
+        price = fetch_sim._price_trip
         before = cost_constants(WIDE, WAN, SERVER, DRIVER)
+        requests = simulate_fetch(WIDE, WAN, SERVER, DRIVER).components[:, 0]
+        calls = 0
 
-        def slower(out, *args):
-            price(out, *args)
-            out[0] += 1.0  # every trip's request time
+        def slower(*args):
+            nonlocal calls
+            calls += 1
+            r, *rest = price(*args)
+            return r + 1.0, *rest  # every trip's request time
 
-        monkeypatch.setattr(fetch_sim, "_price_trips", slower)
+        monkeypatch.setattr(fetch_sim, "_price_trip", slower)
         after = cost_constants(WIDE, WAN, SERVER, DRIVER)
         assert (after.k1, after.k3) == (before.k1 + 1.0, before.k3 + 1.0) == (306.0, 306.0)
+        trace = simulate_fetch(WIDE, WAN, SERVER, DRIVER)
+        assert trace.components[:, 0].tolist() == (requests + 1.0).tolist()
+        assert repr(jitter_free_total(WIDE, WAN, SERVER, DRIVER)) == repr(trace.total_elapsed_ms)
+        calls = 0
+        trace = simulate_fetch(WorkloadSpec(10**6, (100,)), WAN, SERVER, DRIVER)
+        assert len(trace.records) == 10**5 and calls <= 4  # one price per kind of trip
 
     @pytest.mark.parametrize("field, value", [("request_overhead", 1e308),
                                               ("per_field_conversion", 1e306)])
@@ -370,18 +380,21 @@ class TestSamplesFromTripLog:
         trace = simulate_fetch(WorkloadSpec(n, (100,)), WAN, SERVER, d, seed=11, jitter=jitter)
         assert trace.samples.tolist() == dense_samples(trace)
 
-    def test_simulation_memory_is_o_trips(self):
-        # Two trips over two million rows: nothing may be allocated per row.
-        w = WorkloadSpec(2_000_000, (100,))
-        d = DriverSpec(enforced_prefetch=1_000_000)
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    @pytest.mark.parametrize("n, f", [(2_000_000, 1_000_000), (100_000, 10), (1_000_000, 10)])
+    def test_simulation_memory_is_o_trips(self, n, f, jitter):
+        # Nothing may be allocated per row, and at most 128 B per trip; the
+        # peak was 96 B per trip at 1e4 and 1e5 trips, with or without jitter.
+        d = DriverSpec(enforced_prefetch=f)
         tracemalloc.start()
         try:
-            trace = simulate_fetch(w, WAN, SERVER, d)
+            trace = simulate_fetch(WorkloadSpec(n, (100,)), WAN, SERVER, d, jitter=jitter)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(trace.trip_log) == 2
-        assert peak < 2**20
+        trips = round_trips(n, f)
+        assert len(trace.records) == trips
+        assert peak < 128 * trips + 2**20
 
 
 class TestStageBreakdown:
@@ -613,6 +626,45 @@ class TestSimulatorProperties:
         assert logs[0][:k] == logs[1][:k]
 
 
+class TestTripKinds:
+    @settings(deadline=None)
+    @given(scenarios(prefetch=st.integers(1, 700) | st.integers(1, 2**53),
+                     records=st.integers(0, 3000), cache=st.integers(1, 1000)))
+    def test_prices_every_trip_and_every_stage(self, scenario):
+        # Both totals read _trip_kinds, so they agree even if a trip is
+        # given the wrong kind; the reference walks every trip instead.
+        workload, net, server, driver = scenario
+        n, f = workload.total_records, effective_prefetch(driver)
+        cache = min(server.server_cache_size, max(n, 1))
+
+        def refills(served):  # disk refills behind the first served records
+            return -(-served // cache)
+
+        trips = [(min(f, n - f * (i - 1)), refills(min(f * i, n)) - refills(f * (i - 1)), i == 1)
+                 for i in range(1, round_trips(n, f) + 1)]
+        block = simulate_fetch(*scenario).components
+        assert block.tolist() == [list(fetch_sim._price_trip(*trip, *scenario)) for trip in trips]
+        # Each stage's sum over the trips is the kinds' exact count-weighted
+        # sum, rounded once, as math.fsum rounds it.
+        kinds = fetch_sim._trip_kinds(n, f, server.server_cache_size)
+        prices = [fetch_sim._price_trip(*kind[:3], *scenario) for kind in kinds]
+        for column, stage in zip(block.T.tolist(), zip(*prices), strict=True):
+            ints, scale = dyadic_ints(stage)
+            exact = sum(p * count for p, (*_, count) in zip(ints, kinds))
+            assert math.fsum(column) == exact / scale
+
+    @given(st.integers(0, 2**53), st.integers(1, 50) | st.integers(1, 2**53),
+           st.integers(1, 50) | st.integers(1, 2**53))
+    def test_counts_cover_the_fetch(self, n, f, cache):
+        kinds = fetch_sim._trip_kinds(n, f, cache)
+        assert [first for _, _, first, _ in kinds] == [True, False, False, False]
+        assert min(count for *_, count in kinds) >= 0
+        assert sum(count for *_, count in kinds) == round_trips(n, f)
+        assert sum(records * count for records, _, _, count in kinds) == n
+        assert (sum(refills * count for _, refills, _, count in kinds)
+                == -(-n // min(cache, max(n, 1))))
+
+
 def run_cli(*argv: str) -> str:
     """What cli.main(argv) prints, in-process; it must exit 0."""
     out = io.StringIO()
@@ -650,3 +702,31 @@ class TestDrillDownChain:
         assert len(totals) == trips - 1
         assert report["avg_trip_time"] == float(sum(map(Fraction, totals)) / len(totals))
         assert swept[:2] == [str(f), summary["total_elapsed_ms"]]
+
+    @settings(deadline=None)
+    @given(scenarios(prefetch=st.integers(3, 100), records=st.integers(7, 600)))
+    def test_fit_recovers_the_law_from_a_sweep(self, scenario):
+        # Every swept size leaves a short last trip, so the elapsed time is
+        # a * (n // f) + (a + C): k1 takes a and k3, the residual trip, a + C.
+        workload, net, server, driver = scenario
+        n = workload.total_records
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_specs(Path(tmp), *scenario)
+            sweep, samples = str(Path(tmp, "s.tsv")), Path(tmp, "samples.csv")
+            run_cli("sweep", cfg, "--mode", "sim", "--f-range", "1:40", "--out", sweep)
+            rows = [line.split("\t")[:2] for line in Path(sweep).read_text().splitlines()[1:]]
+            rows = [(f, ms) for f, ms in rows if n % int(f)]
+            assert len(rows) >= 4
+            samples.write_text(f"# N={n}\nf,elapsed_ms\n"
+                               + "".join(f"{f},{ms}\n" for f, ms in rows))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["fit", str(samples)])
+        assume(code != cli.EXIT_MODEL)  # a rank-deficient design is refused
+        assert code == 0
+        fitted = json.loads(out.getvalue())
+        k = cost_constants(*scenario)
+        a, whole = k.k1, k.k1 + k.floor
+        assert fitted["k1"] == pytest.approx(a, rel=1e-9, abs=1e-12 * whole)  # a may be 0
+        assert fitted["k3"] == pytest.approx(whole, rel=1e-9)
+        assert max(fitted["k2"], fitted["k4"]) <= 1e-12 * whole
