@@ -86,7 +86,6 @@ def _run_config(args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     from . import fetch_sim
-    from .config import ConfigError
 
     cfg = _run_config(args)
     trace_path = Path(args.out_trace)
@@ -94,8 +93,8 @@ def cmd_simulate(args) -> int:
                   else trace_path.with_name(trace_path.stem + "_trips.csv"))
     if trips_path.resolve() == trace_path.resolve() or (
             trace_path.exists() and trips_path.exists() and trips_path.samefile(trace_path)):
-        raise ConfigError("--out-trips", f"{trips_path} is the --out-trace file; "
-                          "the trip log would overwrite the trace")
+        raise InputError(f"--out-trips: {trips_path} is the --out-trace file; "
+                         "the trip log would overwrite the trace")
     trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,
                                      seed=cfg.seed, jitter=cfg.jitter)
     fetch_sim.write_trace_csv(trace, trace_path, trips_path)
@@ -127,14 +126,12 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_f_range(spec: str) -> tuple[int, int]:
-    from .config import ConfigError
-
     try:
         lo, hi = map(_integer, spec.split(":", 1))
     except ValueError:
-        raise ConfigError("--f-range", f"expected LO:HI, got {spec!r}") from None
+        raise InputError(f"--f-range: expected LO:HI, got {spec!r}") from None
     if lo < 1 or hi < lo:
-        raise ConfigError("--f-range", f"need 1 <= LO <= HI, got {spec!r}")
+        raise InputError(f"--f-range: need 1 <= LO <= HI, got {spec!r}")
     return lo, hi
 
 

@@ -187,4 +187,4 @@ def load_config(name_or_path: str, seed: int | None = None,
     path = resolve_config_path(name_or_path)
     # Undecodable bytes become U+FFFD, so they fail as a bad value or an
     # unknown key that names its key, like any other malformed input.
-    return parse_config(path.read_text(errors="replace"), seed, jitter)
+    return parse_config(path.read_text(encoding="utf-8", errors="replace"), seed, jitter)

@@ -299,6 +299,7 @@ def simulate_fetch(
     kind = np.diff(_refills(np.cumsum(records), cache), prepend=0) + (1 - batch // cache)
     kind[-1:], kind[:1] = 3, 0
     block = prices[kind]
+    del kind
     with np.errstate(over="ignore"):  # checked_total below reports a cost past float64
         if jitter:
             stream = np.random.Generator(np.random.Philox(key=seed % 2**128))

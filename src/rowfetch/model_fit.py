@@ -41,10 +41,6 @@ BASIS_NAMES = ("full_trips", "prefetch_size", "residual_trip", "residual_records
 CONDITION_WARN_AT = 1e8
 
 
-class SampleFormatError(InputError):
-    """A samples file that does not follow the f,elapsed_ms format."""
-
-
 class FitError(ValueError):
     """Sample sets the model cannot be fitted to."""
 
@@ -258,7 +254,8 @@ def read_fit_samples(path) -> list[FitSample]:
     total_records = None
     rows: list[tuple[int, str]] = []
     saw_header = False
-    with open(path, newline="", errors="replace") as fh:
+    # An undecodable byte is kept as a lone surrogate, which encode() rejects.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -272,27 +269,28 @@ def read_fit_samples(path) -> list[FitSample]:
                         require(total_records in (None, count), "N",
                                 f"must repeat the earlier N={total_records}")
                     except ValueError as exc:
-                        raise SampleFormatError(f"{path}:{lineno}: bad N comment: {line!r} "
-                                                f"({exc})") from exc
+                        raise InputError(f"{path}:{lineno}: bad N comment: {line!r} "
+                                         f"({exc})") from exc
                     total_records = count
                 continue
             if not saw_header:
                 if [part.strip() for part in line.split(",")] != ["f", "elapsed_ms"]:
-                    raise SampleFormatError(f"{path}:{lineno}: expected header f,elapsed_ms")
+                    raise InputError(f"{path}:{lineno}: expected header f,elapsed_ms")
                 saw_header = True
                 continue
             rows.append((lineno, line))
     if total_records is None:
-        raise SampleFormatError(f"{path}: missing `# N=<count>` comment line")
+        raise InputError(f"{path}: missing `# N=<count>` comment line")
     if not saw_header:
-        raise SampleFormatError(f"{path}: missing f,elapsed_ms header")
+        raise InputError(f"{path}: missing f,elapsed_ms header")
     samples = []
     for lineno, line in rows:
         parts = line.split(",")
         try:
+            line.encode("utf-8")
             samples.append(FitSample(_row_number(parts[0]), _number(parts[1]), total_records))
         except (IndexError, ValueError) as exc:
-            raise SampleFormatError(f"{path}:{lineno}: bad sample row: {line!r} ({exc})") from exc
+            raise InputError(f"{path}:{lineno}: bad sample row: {line!r} ({exc})") from exc
     return samples
 
 

@@ -56,10 +56,6 @@ from .core_model import (TRACE_HEADER, InputError, Record, _number, _row_number,
 Samples = np.ndarray | Sequence[tuple[int, float]]
 
 
-class TraceFormatError(InputError):
-    """A trace CSV that does not follow the row_index,elapsed_ms format."""
-
-
 class PeakReport(Record):
     """What a latency trace reveals about the driver's batching."""
 
@@ -318,8 +314,8 @@ def read_trace_samples(path) -> np.ndarray:
     """Load a row_index,elapsed_ms CSV as an (n, 2) float64 array.
 
     The header must match and the rows must obey the trace rule, with
-    each row index a decimal integer; otherwise TraceFormatError names
-    the first bad line.  Empty lines are skipped, but a line of only
+    each row index a decimal integer; otherwise InputError names the
+    first bad line.  Empty lines are skipped, but a line of only
     spaces or tabs is a bad row.  The header is checked on a plain open,
     so a path that is missing or not a plain-text trace fails there; the
     body is then read by path, which lets numpy parse it in chunks rather
@@ -328,12 +324,12 @@ def read_trace_samples(path) -> np.ndarray:
     returned array is the parsed table itself.
     """
     # Undecodable bytes become U+FFFD, which cannot match the header.
-    with open(path, newline="", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         if tuple(h.strip() for h in fh.readline().split(",")) != TRACE_HEADER:
-            raise TraceFormatError(f"{path}: expected header {','.join(TRACE_HEADER)}")
+            raise InputError(f"{path}: expected header {','.join(TRACE_HEADER)}")
     suffix = os.path.splitext(path)[1]
     if suffix in _COMPRESSED_SUFFIXES:
-        raise TraceFormatError(f"{path}: a plain-text trace may not be named *{suffix}")
+        raise InputError(f"{path}: a plain-text trace may not be named *{suffix}")
     try:
         with warnings.catch_warnings():
             # A header-only trace is valid: it is simply empty.
@@ -352,7 +348,7 @@ def read_trace_samples(path) -> np.ndarray:
             samples[lo:hi, 0] = np.arange(lo + 1, hi + 1)
         return samples
     except (ValueError, DeprecationWarning) as exc:
-        raise TraceFormatError(_first_bad_line(path)) from exc
+        raise InputError(_first_bad_line(path)) from exc
 
 
 def _first_bad_line(path) -> str:

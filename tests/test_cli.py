@@ -54,7 +54,7 @@ def config_file(tmp_path, overrides=None, drop=(), name="run.cfg") -> str:
         pairs.pop(key, None)
     pairs.update(overrides or {})
     path = tmp_path / name
-    path.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()))
+    path.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()), encoding="utf-8")
     return str(path)
 
 
@@ -545,6 +545,7 @@ class TestFit:
         assert cli.main(["fit", str(path)]) == EXIT_INPUT
 
     @pytest.mark.parametrize("row", [b"10,-5.0", b"10,nan", b"0,100.0", b"10,\xff",
+                                     b"10,100.0,\xff",  # undecodable past elapsed_ms
                                      # The trace reader's field grammar: no
                                      # underscores, ASCII digits only.
                                      b"1,5_0", b"1_0,50.0", "\u0661,50.0".encode(),
@@ -998,6 +999,23 @@ class TestConfigErrors:
         rc, _, _ = simulate(tmp_path, config_file(tmp_path, {key: bad}))
         assert rc == EXIT_INPUT
         assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["recommend", "fit"])
+    def test_files_are_read_as_utf8_in_any_locale(self, tmp_path, command):
+        # Under the C locale stderr is ASCII and escapes what it cannot encode:
+        # an Arabic-Indic 5 read as UTF-8 prints as \u0665, and read by the
+        # locale's codec as \ufffd.
+        if command == "recommend":
+            argv = [config_file(tmp_path, {"workload.total_records": "\u0665\u0660\u0662"}),
+                    "--budget-bytes", "1000000"]
+        else:
+            path = tmp_path / "samples.csv"
+            path.write_bytes("# N=502\nf,elapsed_ms\n\u0665,100.0\n".encode())
+            argv = [str(path)]
+        environ = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+        done = run_cli(command, *argv, environ=environ)
+        assert done.returncode == EXIT_INPUT
+        assert "\\u0665" in done.stderr and "\\ufffd" not in done.stderr
 
     # Python's int() and float() read both as 10; the trace and fit readers refuse them.
     @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic_indic"])

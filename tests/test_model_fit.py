@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -12,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rowfetch.core_model import CostConstants, FetchPlan, FieldError, WorkloadSpec, quantized_cost
+from rowfetch.core_model import (CostConstants, FetchPlan, FieldError, InputError, WorkloadSpec,
+                                 quantized_cost)
 from rowfetch.fetch_sim import DriverSpec, NetworkSpec, ServerSpec, simulate_fetch
 from rowfetch.model_fit import (
     FitError,
     FitSample,
-    SampleFormatError,
     _condition,
     _gram,
     _solve,
@@ -76,6 +77,21 @@ class TestNoisyRecovery:
         errors.sort()
         assert errors[94] <= K1_NOISE_P95_BOUND
         assert errors[-1] <= 0.10
+
+    @pytest.mark.parametrize("count", [1000, 4000])
+    def test_fit_memory_is_o_samples(self, count):
+        # At most 352 B per sample over 64 KiB; the peak was 236 B per
+        # sample at 1,000 samples and 259 B at 4,000, of N = 1e6.
+        samples = make_samples(noise=0.05, rng=np.random.default_rng(0),
+                               f_grid=range(1, count + 1), n=1_000_000)
+        tracemalloc.start()
+        try:
+            result = fit_cost_model(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.sample_count == count
+        assert peak < 352 * count + 2**16
 
 
 class TestPreconditions:
@@ -467,16 +483,16 @@ class TestSamplesCsv:
     def test_missing_n_comment(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("f,elapsed_ms\n10,100.0\n")
-        with pytest.raises(SampleFormatError, match="N="):
+        with pytest.raises(InputError, match="N="):
             read_fit_samples(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("# N=502\n10,100.0\n")
-        with pytest.raises(SampleFormatError):
+        with pytest.raises(InputError):
             read_fit_samples(path)
         path.write_text("# N=502\n\n# no rows yet\n")
-        with pytest.raises(SampleFormatError, match="missing f,elapsed_ms header"):
+        with pytest.raises(InputError, match="missing f,elapsed_ms header"):
             read_fit_samples(path)
 
     def test_n_comment_repeats_only_with_the_same_count(self, tmp_path):
@@ -488,14 +504,14 @@ class TestSamplesCsv:
         with path.open("a") as fh:
             fh.write("# N=9999\n")
         last = len(path.read_text().splitlines())
-        with pytest.raises(SampleFormatError) as exc:
+        with pytest.raises(InputError) as exc:
             read_fit_samples(path)
         assert str(exc.value).startswith(f"{path}:{last}: ") and "N=502" in str(exc.value)
 
     def test_bad_row(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("# N=502\nf,elapsed_ms\nten,100.0\n")
-        with pytest.raises(SampleFormatError):
+        with pytest.raises(InputError):
             read_fit_samples(path)
 
     @pytest.mark.parametrize("args, field", [

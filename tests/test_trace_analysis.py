@@ -23,8 +23,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rowfetch import cli, trace_analysis
-from rowfetch.core_model import (FieldError, WorkloadSpec, _number, _row_number, replace,
-                                 round_trips)
+from rowfetch.core_model import (FieldError, InputError, WorkloadSpec, _number, _row_number,
+                                 replace, round_trips)
 from rowfetch.fetch_sim import (
     DriverSpec,
     NetworkSpec,
@@ -36,7 +36,6 @@ from rowfetch.trace_analysis import (
     _BLOCK_ROWS,
     _TRACE_DTYPE,
     PeakReport,
-    TraceFormatError,
     _above_threshold,
     _mean_and_std,
     _median,
@@ -452,7 +451,7 @@ class TestTraceRuleAtBlockEdges:
         path = tmp_path / "trace.csv"
         path.write_text("row_index,elapsed_ms\n"
                         + "".join(f"{row:.0f},{ms!r}\n" for row, ms in samples.tolist()))
-        with pytest.raises(TraceFormatError, match=f"trace.csv:{bad + 2}: "):
+        with pytest.raises(InputError, match=f"trace.csv:{bad + 2}: "):
             read_trace_samples(path)
 
 
@@ -621,6 +620,21 @@ class TestOnSimulatedTraces:
         assert report.peak_rows == (31, 61, 91)
         assert report.inferred_prefetch == 30
 
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_analysis_memory_is_o_peaks(self, n):
+        # A zero floor: the 1-byte mask per row and 64 B per peak (47 measured)
+        # over 0.6 MiB of blocks.  The peak was 0.63 MiB at 2,703 peaks and
+        # 0.93 MiB at 10,811.
+        samples = simulated_trace(n, 37).samples
+        tracemalloc.start()
+        try:
+            report = analyze_trace(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.inferred_prefetch == 37
+        assert peak < n + 64 * len(report.peak_rows) + 0.6 * 2**20
+
 
 class TestTraceCsvReader:
     @given(st.sampled_from([(0, 10), (7, 10), (37, 1), (5, 1000), (500, 10), (9000, 8200)]),
@@ -659,7 +673,7 @@ class TestTraceCsvReader:
         write_trace_csv(trace, plain, tmp_path / "trips.csv")
         path = tmp_path / "trace.csv.gz"
         path.write_bytes(gzip.compress(plain.read_bytes()))
-        with pytest.raises(TraceFormatError, match="expected header"):
+        with pytest.raises(InputError, match="expected header"):
             read_trace_samples(path)
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -667,7 +681,7 @@ class TestTraceCsvReader:
         # numpy would open it as a compressed file; the name is refused instead.
         path = tmp_path / f"trace.csv{suffix}"
         path.write_text("row_index,elapsed_ms\n1,0.5\n")
-        with pytest.raises(TraceFormatError, match=f"named \\*\\{suffix}"):
+        with pytest.raises(InputError, match=f"named \\*\\{suffix}"):
             read_trace_samples(path)
 
     def test_url_like_path_is_a_missing_file(self, monkeypatch):
@@ -687,7 +701,7 @@ class TestTraceCsvReader:
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("row,ms\n1,2\n")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputError):
             read_trace_samples(path)
 
     @example([], "\n", True)  # header only
@@ -725,24 +739,31 @@ class TestTraceCsvReader:
     BIG_ROWS = 200_000
     MEMORY_BOUND = 1.5 * BIG_ROWS * 16
 
-    @pytest.fixture
-    def big_trace(self, tmp_path):
-        path = tmp_path / "big.csv"
+    @staticmethod
+    def write_big_trace(path, rows):
         with open(path, "w") as fh:
             fh.write("row_index,elapsed_ms\n")
             fh.writelines(f"{row},{0.0 if row % 37 != 1 else 457.1234567891234!r}\n"
-                          for row in range(1, self.BIG_ROWS + 1))
+                          for row in range(1, rows + 1))
         return path
 
-    def test_reader_memory_is_columnar(self, big_trace):
+    @pytest.fixture
+    def big_trace(self, tmp_path):
+        return self.write_big_trace(tmp_path / "big.csv", self.BIG_ROWS)
+
+    @pytest.mark.parametrize("rows", [BIG_ROWS, 2 * BIG_ROWS])
+    def test_reader_memory_is_columnar(self, tmp_path, rows):
+        # 24 B per row at each size, so the rate is checked, not one total:
+        # the peak was 3.89 MiB at 2e5 rows and 7.56 MiB at 4e5 rows.
+        path = self.write_big_trace(tmp_path / "big.csv", rows)
         tracemalloc.start()
         try:
-            samples = read_trace_samples(big_trace)
+            samples = read_trace_samples(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.MEMORY_BOUND
-        assert samples.shape == (self.BIG_ROWS, 2)
+        assert peak < 1.5 * rows * 16
+        assert samples.shape == (rows, 2)
 
     def test_analyze_memory_is_the_reader_array(self, big_trace, capsys):
         tracemalloc.start()
@@ -759,7 +780,7 @@ class TestTraceCsvReader:
     def test_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("row_index,elapsed_ms\n1,abc\n")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputError):
             read_trace_samples(path)
 
     @given(st.text(st.sampled_from(list("0123456789\u0661.eE+-_infaxNI\x00") + SPACES), max_size=10)
