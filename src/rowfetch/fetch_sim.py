@@ -142,10 +142,10 @@ class LatencyTrace(Record):
     records is the int64 column of batch sizes and components the float64
     (trips, 5) block of r, e, a, t, c times in ms; row i-1 is trip i.
     totals is the per-trip total column and total_elapsed_ms its fsum,
-    both computed once by simulate_fetch.  Trip i's whole cost lands on
-    row (i-1)*f+1, the first row of its batch; every other row costs 0.0.
-    The first trip's cost is carried by the execute call rather than any
-    row, so conservation reads:
+    both computed once by simulate_fetch.  With batch = min(f, n), trip
+    i's whole cost lands on row (i-1)*batch+1, the first row of its batch;
+    every other row costs 0.0.  The first trip's cost is carried by the
+    execute call rather than row 1, so conservation reads:
 
         fsum(sample values and execution_call_ms) == total_elapsed_ms
     """
@@ -160,16 +160,6 @@ class LatencyTrace(Record):
     # Compared and hashed by identity: its arrays have no one truth value.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def _first_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        # Each batch's first row, from 1, and the time it shows: its trip's
-        # total, but 0.0 on row 1, whose trip the execute call pays.
-        import numpy as np
-
-        rows = np.cumsum(self.records) - self.records + 1
-        shown = self.totals.copy()
-        shown[:1] = 0.0
-        return rows, shown
 
     @property
     def trip_log(self) -> tuple[TripRecord, ...]:
@@ -186,8 +176,8 @@ class LatencyTrace(Record):
 
         samples = np.zeros((self.total_records, 2))
         samples[:, 0] = np.arange(1, self.total_records + 1)
-        rows, shown = self._first_rows()
-        samples[rows - 1, 1] = shown
+        batch = max(min(self.effective_prefetch, self.total_records), 1)
+        samples[batch::batch, 1] = self.totals[1:]
         return samples
 
     @property
@@ -362,20 +352,18 @@ TRIP_HEADER = ("trip_index", "records", "r_ms", "e_ms", "a_ms", "t_ms", "c_ms")
 def _trace_blocks(trace: LatencyTrace) -> Iterator[str]:
     """The trace CSV body as text of at most _BLOCK rows each.
 
-    Each row's line template is "%d,0.0\\r\\n", or on a batch's first row
-    (found by searchsorted) the repr of its _first_rows value in place of
-    0.0; a block's joined templates are formatted once with its row numbers.
+    Each row's line template is "%d,0.0\\r\\n", or on the first row of
+    trip i > 1, row (i-1)*batch+1, the repr of its total in place of 0.0;
+    a block's joined templates are formatted once with its row numbers.
     """
-    import numpy as np
-
-    rows, shown = trace._first_rows()
     n = trace.total_records
+    batch = max(min(trace.effective_prefetch, n), 1)
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        a, b = np.searchsorted(rows, (lo, hi))
+        # Trips a..b-1 (from 0) start in rows lo..hi-1; trip 0 shows 0.0.
+        a, b = max(-(-(lo - 1) // batch), 1), -(-(hi - 1) // batch)
         lines = ["%d,0.0\r\n"] * (hi - lo)
-        for row, ms in zip(rows[a:b].tolist(), shown[a:b].tolist()):
-            lines[row - lo] = f"%d,{ms!r}\r\n"
+        lines[a * batch + 1 - lo::batch] = [f"%d,{ms!r}\r\n" for ms in trace.totals[a:b].tolist()]
         yield "".join(lines) % tuple(range(lo, hi))
 
 

@@ -242,7 +242,7 @@ def fit_cost_model(samples: list[FitSample]) -> FitResult:
                      condition_warning, tuple(warnings))
 
 
-_N_COMMENT = re.compile(r"#\s*N\s*=\s*(\d+)\s*$")
+_N_COMMENT = re.compile(r"#\s*N\s*=(.*)")
 
 
 def read_fit_samples(path) -> list[FitSample]:
@@ -264,8 +264,8 @@ def read_fit_samples(path) -> list[FitSample]:
                 match = _N_COMMENT.match(line)
                 if match:
                     try:
-                        count = _row_number(match.group(1))  # ASCII digits only
-                        require(count <= 2**53, "N", "must be in [0, 2**53]")
+                        count = _row_number(match.group(1))
+                        require(0 <= count <= 2**53, "N", "must be in [0, 2**53]")
                         require(total_records in (None, count), "N",
                                 f"must repeat the earlier N={total_records}")
                     except ValueError as exc:

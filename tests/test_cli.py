@@ -576,6 +576,26 @@ class TestFit:
         assert done.returncode == EXIT_INPUT
         assert f"{path}:{line}:" in done.stderr and "Traceback" not in done.stderr
 
+    # The count is the readers' integer field, whole: no trailing text, one
+    # optional sign, in [0, 2**53].  Line 10 follows the header and 7 rows.
+    @pytest.mark.parametrize("first, last, line", [
+        ("# N=502", "# N=9999x", 10), ("# N=5 records\n# N=502", "", 1), ("# N=", "", 1),
+        ("# N=-5", "", 1), ("# N=+502", "", None),
+    ], ids=["trailing_junk", "word_after_count", "empty", "negative", "plus_sign"])
+    def test_n_comment_follows_the_integer_grammar(self, tmp_path, capsys, first, last, line):
+        path = tmp_path / "samples.csv"
+        write_fit_samples(self.make_samples((5, 10, 25, 50, 100, 168, 251)), path)
+        assert cli.main(["fit", str(path)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text(f"{first}\n{body}{last}\n")
+        rc = cli.main(["fit", str(path)])
+        out, err = capsys.readouterr()
+        if line is None:
+            assert (rc, out, err) == (EXIT_OK, plain, "")
+        else:
+            assert rc == EXIT_INPUT and f"{path}:{line}: bad N comment" in err
+
     def test_missing_n_comment_exit_input(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("f,elapsed_ms\n10,100.0\n")
