@@ -47,14 +47,15 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import itertools
 import math
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core_model import (FieldError, InputError, _integer, _number, replace, round_trips,
-                         sweep_curve)
+from .core_model import (FieldError, InputError, _curve_points, _integer, _number, replace,
+                         round_trips)
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -84,6 +85,19 @@ def _run_config(args) -> RunConfig:
     return load_config(args.config, seed=args.seed, jitter=args.jitter)
 
 
+def _simulate(cfg: RunConfig, driver):
+    """fetch_sim.simulate_fetch of cfg under driver; running out of memory names the input."""
+    from . import fetch_sim
+
+    try:
+        return fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, driver,
+                                        seed=cfg.seed, jitter=cfg.jitter)
+    except MemoryError:
+        n, f = cfg.workload.total_records, fetch_sim.effective_prefetch(driver)
+        raise InputError(f"workload.total_records: {n} records in {round_trips(n, f)} trips "
+                         f"at prefetch {f} are too many for memory") from None
+
+
 def cmd_simulate(args) -> int:
     from . import fetch_sim
 
@@ -95,8 +109,7 @@ def cmd_simulate(args) -> int:
             trace_path.exists() and trips_path.exists() and trips_path.samefile(trace_path)):
         raise InputError(f"--out-trips: {trips_path} is the --out-trace file; "
                          "the trip log would overwrite the trace")
-    trace = fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server, cfg.driver,
-                                     seed=cfg.seed, jitter=cfg.jitter)
+    trace = _simulate(cfg, cfg.driver)
     fetch_sim.write_trace_csv(trace, trace_path, trips_path)
     # Execution is trip 1's request + execute; retrieval is the rest, its refill included.
     execution = math.fsum(trace.components[:1, :2].flat)
@@ -116,10 +129,13 @@ def cmd_analyze(args) -> int:
 
     from . import trace_analysis
 
-    # The array is passed on, not kept, so it is freed before the JSON is built.
-    report = trace_analysis.analyze_trace(trace_analysis.read_trace_samples(args.trace),
-                                          median_ratio=args.median_ratio,
-                                          sigma_k=args.sigma_k)
+    try:
+        # The array is passed on, not kept, so it is freed before the JSON is built.
+        report = trace_analysis.analyze_trace(trace_analysis.read_trace_samples(args.trace),
+                                              median_ratio=args.median_ratio,
+                                              sigma_k=args.sigma_k)
+    except MemoryError:
+        raise InputError(f"{args.trace}: the trace is too large for memory") from None
     # vars() is the report's fields in order, its tuples shared, not copied.
     print(json.dumps(vars(report)))
     return EXIT_OK
@@ -142,22 +158,28 @@ def cmd_sweep(args) -> int:
     lo, hi = _parse_f_range(args.f_range)
     n = cfg.workload.total_records
     sizes = range(lo, hi + 2)  # one past hi for the last forward difference
+    # Each size is priced only as its row is written, so memory is O(1) in the range.
     if args.mode == "sim" and not cfg.jitter:
-        elapsed = [fetch_sim.jitter_free_total(cfg.workload, cfg.network, cfg.server,
+        elapsed = (fetch_sim.jitter_free_total(cfg.workload, cfg.network, cfg.server,
                                                replace(cfg.driver, enforced_prefetch=f))
-                   for f in sizes]
+                   for f in sizes)
     elif args.mode == "sim":
-        elapsed = [fetch_sim.simulate_fetch(cfg.workload, cfg.network, cfg.server,
-                                            replace(cfg.driver, enforced_prefetch=f),
-                                            seed=cfg.seed, jitter=cfg.jitter).total_elapsed_ms
-                   for f in sizes]
+        elapsed = (_simulate(cfg, replace(cfg.driver, enforced_prefetch=f)).total_elapsed_ms
+                   for f in sizes)
     else:
         k = fetch_sim.cost_constants(cfg.workload, cfg.network, cfg.server, cfg.driver)
-        elapsed = [p.elapsed for p in sweep_curve(n, lo, hi + 1, k, args.mode)]
+        elapsed = (p.elapsed for p in _curve_points(n, lo, hi + 1, k, args.mode))
+    rows = itertools.pairwise(elapsed)
+    rows = itertools.chain([next(rows)], rows)  # the first row priced before the file exists
     with open(args.out, "w") as fh:
-        fh.write("# f\telapsed_ms\ttrips\tslope_ms\n")
-        for f, ms, nxt in zip(sizes, elapsed, elapsed[1:]):
-            fh.write(f"{f}\t{ms!r}\t{round_trips(n, f)}\t{ms - nxt!r}\n")
+        try:
+            fh.write("# f\telapsed_ms\ttrips\tslope_ms\n")
+            for f, (ms, nxt) in zip(sizes, rows):
+                fh.write(f"{f}\t{ms!r}\t{round_trips(n, f)}\t{ms - nxt!r}\n")
+        except BaseException:  # a later size failed: leave no partial file
+            fh.close()
+            os.remove(args.out)
+            raise
     print(f"sweep: {args.out} ({hi - lo + 1} sizes, mode {args.mode})")
     return EXIT_OK
 

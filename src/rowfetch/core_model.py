@@ -22,7 +22,7 @@ number grammar of every input reader live here too: every command loads it.
 from __future__ import annotations
 
 import math
-from typing import Iterable, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 
 class InputError(ValueError):
@@ -277,11 +277,16 @@ def sweep_curve(
     k1 * n / f hyperbola above the floor.  An empty range yields an empty
     list.
     """
+    return list(_curve_points(n, f_lo, f_hi, k, mode))
+
+
+def _curve_points(n: int, f_lo: int, f_hi: int, k: CostConstants,
+                  mode: str = "quantized") -> Iterator[CurvePoint]:
+    """sweep_curve's points one at a time, each priced only when it is taken."""
     if f_lo < 1:
         raise ValueError("range lower bound must be >= 1")
     if mode not in ("quantized", "reciprocal"):
         raise ValueError(f"unknown sweep mode: {mode!r}")
-    points = []
     for f in range(f_lo, f_hi + 1):
         if mode == "quantized":
             elapsed = quantized_cost(FetchPlan(f, n), k)
@@ -289,5 +294,4 @@ def sweep_curve(
             raise ValueError("record count must be >= 0")
         else:
             elapsed = checked_total(k.k1 * n / f + k.floor) if n else 0.0
-        points.append(CurvePoint(f, elapsed))
-    return points
+        yield CurvePoint(f, elapsed)

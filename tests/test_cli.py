@@ -12,10 +12,12 @@ import json
 import math
 import os
 import pkgutil
+import random
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -488,6 +490,37 @@ class TestSweep:
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    # Each size is priced as its row is written: the peak may not grow with
+    # the range (0.06-0.07 MiB measured at both sizes, where pricing every
+    # size first read 0.38 and 1.25 MiB at 8e3 sizes in sim and reciprocal mode).
+    @pytest.mark.parametrize("sizes", [2_000, 8_000])
+    @pytest.mark.parametrize("mode", ["reciprocal", "sim"])
+    def test_memory_does_not_grow_with_the_range(self, tmp_path, mode, sizes):
+        argv = ["sweep", "baseline.cfg", "--mode", mode, "--out", str(tmp_path / "s.tsv")]
+        assert cli.main([*argv, "--f-range", "1:2"]) == EXIT_OK  # the first call's imports
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--f-range", f"1:{sizes}"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 / 4
+
+    def test_a_size_failing_after_the_first_row_leaves_no_file(self, tmp_path, capsys,
+                                                              monkeypatch):
+        jitter_free_total = fetch_sim.jitter_free_total
+
+        def overflows_at_4(workload, net, server, driver):
+            if driver.enforced_prefetch == 4:
+                raise ValueError("elapsed time overflows float64")
+            return jitter_free_total(workload, net, server, driver)
+
+        monkeypatch.setattr(fetch_sim, "jitter_free_total", overflows_at_4)
+        assert cli.main(["sweep", "baseline.cfg", "--f-range", "1:5",
+                         "--out", str(tmp_path / "s.tsv")]) == EXIT_MODEL
+        assert capsys.readouterr().err == "error: elapsed time overflows float64\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("spec", ["5:1", "0:10", "abc", "3"])
     def test_bad_range_rejected(self, tmp_path, spec, capsys):
         rc = cli.main(["sweep", "baseline.cfg", "--f-range", spec,
@@ -780,8 +813,11 @@ class TestProcessExit:
     command writes is closed before main() returns.
     """
 
+    # simulate_blocks writes a jittered 1e5-row trace, many blocks of rows;
+    # analyze_statistical reads a 2e5-row trace whose positive floor runs the
+    # statistical peak rule.
     CASES = ["simulate", "analyze", "sweep_sim", "fit", "recommend", "missing_samples",
-             "bad_mode"]
+             "bad_mode", "simulate_blocks", "analyze_statistical"]
 
     @staticmethod
     def environ(unbuffered: bool):
@@ -796,6 +832,16 @@ class TestProcessExit:
         if case == "bad_mode":  # exit 2
             return ["sweep", "baseline.cfg", "--f-range", "1:5", "--mode", "psychic",
                     "--out", str(tmp_path / "s.tsv")]
+        if case == "simulate_blocks":
+            cfg = config_file(tmp_path, {"workload.total_records": "100000"})
+            return command_args(tmp_path, "simulate", cfg) + ["--jitter", "0.1"]
+        if case == "analyze_statistical":  # a trip row every 37, on a jittered floor
+            trace = tmp_path / "measured.csv"
+            r = random.Random(1)
+            trace.write_text("row_index,elapsed_ms\n" + "".join(
+                f"{i},{400.0 if i % 37 == 1 and i > 1 else r.uniform(0.002, 0.02)!r}\n"
+                for i in range(1, 200_001)))
+            return ["analyze", str(trace)]
         return baseline_args(tmp_path, case)
 
     @pytest.mark.parametrize("case", CASES)
@@ -818,6 +864,14 @@ class TestProcessExit:
             rc = exc.code
         assert in_child == (rc, *capsys.readouterr(), take_outputs())
         assert rc == {"missing_samples": EXIT_INPUT, "bad_mode": EXIT_USAGE}.get(case, EXIT_OK)
+        if case == "simulate_blocks":  # every line reached both files, each ended by CRLF
+            written = in_child[3]
+            assert [(data.count(b"\n"), data.count(b"\r\n")) for data in
+                    (written[tmp_path / "t.csv"], written[tmp_path / "t_trips.csv"])] == [
+                (100_001, 100_001), (10_001, 10_001)]
+        if case == "analyze_statistical":
+            report = json.loads(done.stdout)
+            assert (report["inferred_prefetch"], report["confidence"]) == (37, 1.0)
 
     def test_atexit_handlers_run_before_the_streams_are_flushed(self):
         # Buffered, so only the flush sends what the handler prints.
@@ -1180,24 +1234,29 @@ class TestConfigErrors:
 
 
 class TestOutOfMemory:
-    """An input too large for memory is one error line and exit 3, not a traceback."""
+    """An input too large for memory is one error line and exit 3, not a
+    traceback, naming the config key and trip count or the trace at fault."""
 
-    @pytest.mark.parametrize("module, name, command", [
-        (fetch_sim, "simulate_fetch", "simulate"),
-        (trace_analysis, "read_trace_samples", "analyze"),
-    ], ids=["simulate", "analyze"])
+    @pytest.mark.parametrize("module, name, command, error", [
+        (fetch_sim, "simulate_fetch", "simulate",
+         "workload.total_records: 502 records in 51 trips at prefetch 10 are too many for memory"),
+        (fetch_sim, "simulate_fetch", "sweep",  # sweep's first size, f = 1
+         "workload.total_records: 502 records in 502 trips at prefetch 1 are too many for memory"),
+        (trace_analysis, "read_trace_samples", "analyze",
+         "{trace}: the trace is too large for memory"),
+    ], ids=["simulate", "sweep_jittered", "analyze"])
     def test_memory_error_is_exit_input(self, tmp_path, capsys, monkeypatch, module, name,
-                                        command):
+                                        command, error):
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(module, name, exhausted)
-        argv = (["analyze", str(tmp_path / "t.csv")] if command == "analyze"
-                else command_args(tmp_path, command, "baseline.cfg"))
+        trace = tmp_path / "t.csv"
+        argv = (["analyze", str(trace)] if command == "analyze"
+                else command_args(tmp_path, command, "baseline.cfg") + ["--jitter", "0.1"])
         assert cli.main(argv) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {error.format(trace=trace)}\n"
+        assert list(tmp_path.iterdir()) == []  # no output file
 
 
 class TestUsage:
